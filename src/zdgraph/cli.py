@@ -20,8 +20,8 @@ from .errors import UsageError, ZdgError
 from .graphs import Graph, Partition, build_zero_divisor_graph, gcd_class_partition, twin_partition
 from .orbits import aut_orbits
 from .rings import DEFAULT_CAP, ZnRing, make_ring
-from .ringexpr import parse_ring_spec, render_ring_spec
-from .spectral import char_poly, eigenvalue_multiplicity, equitable_quotient_matrix
+from .ringexpr import _factor_prime_power, parse_ring_spec, render_ring_spec
+from .spectral import char_poly, equitable_quotient_matrix
 from .threshold import (
     CreationSequence,
     build_threshold_from_code,
@@ -139,16 +139,16 @@ def cmd_spectra(args) -> int:
     part = _partition_for(g, ring, method, args.code)
     qm = equitable_quotient_matrix(g, part)
     qpoly = char_poly(qm)
+    fpoly = char_poly(g)
     data = {
         "n": g.n,
         "partition": part.to_json_dict(),
         "quotient_matrix": qm.to_json_dict(),
         "charpoly": {"text": qpoly.to_text(), "coeffs": qpoly.to_json_list()},
-        "multiplicity_0": eigenvalue_multiplicity(g, 0),
-        "multiplicity_minus_1": eigenvalue_multiplicity(g, -1),
+        "multiplicity_0": fpoly.root_multiplicity(0),
+        "multiplicity_minus_1": fpoly.root_multiplicity(-1),
     }
     if args.full:
-        fpoly = char_poly(g)
         data["adjacency_charpoly"] = {"text": fpoly.to_text(), "coeffs": fpoly.to_json_list()}
     _emit(_dump_json(data), args.out)
     return EXIT_OK
@@ -208,6 +208,9 @@ def cmd_verify(args) -> int:
             cfg.field_sizes = tuple(args.q)
         if args.n:
             cfg.orbit_claim_max = max(args.n)
+    for q in cfg.field_sizes:
+        if _factor_prime_power(q) is None:
+            raise UsageError(f"field size {q} is not a prime power")
     reports = run_all(cfg, claims=claims)
     jsonl = "".join(r.to_json_line() + "\n" for r in reports)
     summary = summarize(reports)

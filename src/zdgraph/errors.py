@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+import math
+
 
 class ZdgError(Exception):
     """Base class for all zdgraph errors."""
@@ -11,6 +13,12 @@ class CompositePrimeError(ZdgError):
 
 class SizeCapExceeded(ZdgError):
     """A ring or graph would exceed the configured element cap."""
+
+    @classmethod
+    def over(cls, what: str, size: int, cap: int) -> "SizeCapExceeded":
+        """States ``size`` by its order of magnitude: a size far above the
+        cap can be past the digit limit of Python's int-to-str conversion."""
+        return cls(f"{what} has more than the cap of {cap} elements (about 10^{round(math.log10(size))})")
 
 
 class NonMonicModulus(ZdgError):

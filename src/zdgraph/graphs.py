@@ -201,7 +201,7 @@ def build_zero_divisor_graph(ring: Ring, cap: int = DEFAULT_CAP) -> Graph:
     """
     n = ring.size
     if n > cap:
-        raise SizeCapExceeded(f"graph on {n} vertices is above the cap of {cap}")
+        raise SizeCapExceeded.over("graph", n, cap)
     keys = annihilator_keys(ring)
     class_of = [0] * n
     members: list[list[int]] = []
@@ -337,7 +337,7 @@ def orbit_block_classification(p: int, alpha: int, cap: int = DEFAULT_CAP):
     exactly when 2*i >= alpha, and singleton blocks count as complete.
     """
     if p ** alpha > cap:
-        raise SizeCapExceeded(f"p^alpha = {p ** alpha} above cap {cap}")
+        raise SizeCapExceeded.over(f"Z/{p}^{alpha}", p ** alpha, cap)
     out = []
     for i in range(alpha + 1):
         size = euler_phi(p ** (alpha - i))

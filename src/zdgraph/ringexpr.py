@@ -15,6 +15,8 @@ Error positions are 1-based columns into the original string.
 
 from __future__ import annotations
 
+import math
+
 from .errors import NonMonicModulus, RingSemanticError, RingSyntaxError, ZdgError
 from .rings import GF, FamA, FamB, FamC, FamD, MonicQuotient, Product, RingSpec, Zn, is_prime
 
@@ -48,24 +50,37 @@ class _Cursor:
         return self.pos >= len(self.text)
 
 
-def _factor_prime_power(q: int, column: int) -> tuple[int, int]:
+def _factor_prime_power(q: int) -> tuple[int, int] | None:
+    """(p, k) with p prime and p**k == q, or None when q is not a prime power.
+
+    q is a prime power when it is prime, or a perfect l-th power, for a
+    prime l < log2(q), whose root is again a prime power.  No loop runs up
+    to sqrt(q), so a large prime or semiprime q answers at once.
+    """
     if q < 2:
-        raise RingSemanticError(f"GF({q}): order must be a prime power >= 2 (column {column})")
-    p = 2
-    while p * p <= q:
-        if q % p == 0:
-            break
-        p += 1
-    else:
-        p = q
-    k = 0
-    rem = q
-    while rem % p == 0:
-        rem //= p
-        k += 1
-    if rem != 1:
-        raise RingSemanticError(f"GF({q}): {q} is not a prime power (column {column})")
-    return p, k
+        return None
+    if is_prime(q):
+        return q, 1
+    for k in range(2, q.bit_length()):
+        if is_prime(k):
+            r = _kth_root(q, k)
+            if r ** k == q:
+                pk = _factor_prime_power(r)
+                return (pk[0], pk[1] * k) if pk else None
+    return None
+
+
+def _kth_root(q: int, k: int) -> int:
+    """floor(q ** (1/k)) for q >= 1, by Newton's iteration from just above
+    a float estimate (the 2**-30 covers the estimate's rounding error)."""
+    e = math.log2(q) / k + 2 ** -30
+    whole = int(e)
+    r = (int(2 ** (e - whole + 52)) << whole >> 52) + 1
+    while True:
+        s = ((k - 1) * r + q // r ** (k - 1)) // k
+        if s >= r:
+            return r
+        r = s
 
 
 def _parse_poly(cur: _Cursor, n: int) -> tuple[int, ...]:
@@ -135,8 +150,12 @@ def _parse_atom(text: str, offset: int) -> RingSpec:
         cur.expect(")", ")")
         if not cur.at_end():
             raise RingSyntaxError("trailing input after atom", cur.column(), ("end of atom",))
-        p, k = _factor_prime_power(q, col)
-        return GF(p, k)
+        if q < 2:
+            raise RingSemanticError(f"GF({q}): order must be a prime power >= 2 (column {col})")
+        pk = _factor_prime_power(q)
+        if pk is None:
+            raise RingSemanticError(f"GF({q}): {q} is not a prime power (column {col})")
+        return GF(*pk)
     for name, ctor in (("FamA", FamA), ("FamB", FamB), ("FamC", FamC), ("FamD", FamD)):
         if text.startswith(name + "("):
             cur.pos = len(name) + 1

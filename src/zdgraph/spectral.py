@@ -1,5 +1,5 @@
 """Exact integer linear algebra: quotient matrices, characteristic polynomials,
-and eigenvalue multiplicities via exact rank.
+and eigenvalue multiplicities read off them.
 
 Everything here is arbitrary-precision integer arithmetic; the modular
 charpoly path reconstructs exact coefficients through CRT under a proven
@@ -15,9 +15,8 @@ import numpy as np
 
 from ._util import mask_from
 from .errors import MixedBlock, NotEquitable
-from .graphs import Graph, Partition
-
-_DIRECT_CHARPOLY_CAP = 32   # Faddeev-LeVerrier below, CRT reconstruction above
+from .graphs import Graph, Partition, twin_partition
+from .rings import is_prime
 
 
 @dataclass(frozen=True)
@@ -69,8 +68,11 @@ class IntPolynomial:
 
     def root_multiplicity(self, r: int) -> int:
         """Order of the integer root r (0 when r is not a root)."""
-        count = 0
         poly = list(self.coeffs)
+        if r == 0:  # count trailing zeros rather than divide once per root
+            nonzero = [i for i, c in enumerate(poly) if c]
+            return len(poly) - 1 - nonzero[-1] if nonzero else 0
+        count = 0
         while len(poly) > 1:
             # synthetic division by (x - r)
             out = [poly[0]]
@@ -183,38 +185,7 @@ def equitable_quotient_matrix(g: Graph, partition: Partition) -> QuotientMatrix:
 def _as_int_rows(m) -> list[list[int]]:
     if isinstance(m, QuotientMatrix):
         return m.rows()
-    if isinstance(m, Graph):
-        return adjacency_rows(m)
-    if isinstance(m, np.ndarray):
-        return [[int(x) for x in row] for row in m]
     return [[int(x) for x in row] for row in m]
-
-
-def adjacency_rows(g: Graph) -> list[list[int]]:
-    return [[1 if g.adjacent(u, v) else 0 for v in range(g.n)] for u in range(g.n)]
-
-
-def _charpoly_leverrier(rows: list[list[int]]) -> list[int]:
-    """Faddeev-LeVerrier over exact integers; the by-k divisions are exact."""
-    n = len(rows)
-    coeffs = [1]
-    m_prev = [[0] * n for _ in range(n)]
-    for k in range(1, n + 1):
-        if k == 1:
-            am = [row[:] for row in rows]
-        else:
-            am = [
-                [sum(rows[i][t] * m_prev[t][j] for t in range(n)) for j in range(n)]
-                for i in range(n)
-            ]
-        trace = sum(am[i][i] for i in range(n))
-        c = -trace // k
-        assert trace % k == 0
-        coeffs.append(c)
-        for i in range(n):
-            am[i][i] += c
-        m_prev = am
-    return coeffs
 
 
 def _charpoly_coeff_bound(rows: list[list[int]]) -> int:
@@ -229,9 +200,9 @@ def _charpoly_coeff_bound(rows: list[list[int]]) -> int:
     return bound
 
 
-def _charpoly_mod(rows_np: np.ndarray, p: int) -> np.ndarray:
+def _charpoly_mod(rows: np.ndarray, p: int) -> np.ndarray:
     """charpoly mod prime p: Hessenberg similarity then the leading-minor recurrence."""
-    a = np.mod(rows_np, p).astype(np.int64)
+    a = np.mod(rows, p).astype(np.int64)
     n = a.shape[0]
     for j in range(n - 2):
         col = a[j + 1:, j]
@@ -269,12 +240,12 @@ def _charpoly_mod(rows_np: np.ndarray, p: int) -> np.ndarray:
 
 
 def _primes_for_crt(need: int, bits: int) -> list[int]:
-    """Odd primes just under 2**bits whose product exceeds ``need``."""
+    """Primes just under 2**bits whose product exceeds ``need``."""
     out = []
     cand = (1 << bits) - 1
     have = 1
     while have <= need:
-        if cand % 2 and all(cand % q for q in range(3, math.isqrt(cand) + 1, 2)):
+        if is_prime(cand):
             out.append(cand)
             have *= cand
         cand -= 2
@@ -284,7 +255,10 @@ def _primes_for_crt(need: int, bits: int) -> list[int]:
 def _charpoly_crt(rows: list[list[int]]) -> list[int]:
     n = len(rows)
     bound = _charpoly_coeff_bound(rows)
-    rows_np = np.array(rows, dtype=np.int64)
+    try:
+        rows_np = np.array(rows, dtype=np.int64)
+    except OverflowError:  # entries past int64 stay exact until reduced mod p
+        rows_np = np.array(rows, dtype=object)
     # keep p^2 * n within int64 for the dot products in the reduction
     bits = min(26, (62 - n.bit_length()) // 2)
     primes = _primes_for_crt(2 * bound + 1, bits)
@@ -306,77 +280,38 @@ def _charpoly_crt(rows: list[list[int]]) -> list[int]:
     return list(reversed(lifted))  # to descending
 
 
+def _graph_char_poly(g: Graph) -> IntPolynomial:
+    """charpoly of the twin quotient times (x+1)^(s-1) per clique class of
+    size s and x^(s-1) per independent class.
+
+    Within a twin class, e_u - e_v is an eigenvector for -1 (clique) or 0
+    (independent); the quotient carries the rest of the spectrum.  Cardoso,
+    de Freitas, Martins & Robbiano, Discrete Math. 313 (2013).
+    """
+    qm = equitable_quotient_matrix(g, twin_partition(g))
+    ones = sum(s - 1 for s, kind in zip(qm.part_sizes, qm.part_kinds) if kind == "clique")
+    zeros = g.n - qm.size - ones
+    poly = char_poly(qm) * IntPolynomial(tuple(math.comb(ones, i) for i in range(ones + 1)))
+    return IntPolynomial(poly.coeffs + (0,) * zeros)
+
+
 def char_poly(m) -> IntPolynomial:
     """Exact det(xI - M) for an integer matrix, quotient matrix, or graph."""
+    if isinstance(m, Graph):
+        return _graph_char_poly(m)
     rows = _as_int_rows(m)
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise ValueError("matrix must be square")
     if n == 0:
         return IntPolynomial((1,))
-    if n <= _DIRECT_CHARPOLY_CAP:
-        coeffs = _charpoly_leverrier(rows)
-    else:
-        coeffs = _charpoly_crt(rows)
-    return IntPolynomial(tuple(coeffs))
-
-
-# ---------------------------------------------------------------------------
-# Exact rank and determinant (fraction-free elimination)
-# ---------------------------------------------------------------------------
-
-def bareiss_rank_det(rows: list[list[int]]) -> tuple[int, int]:
-    """(rank, determinant) by Bareiss fraction-free elimination.
-
-    The determinant is meaningful only for square full-rank input; it is
-    reported as 0 otherwise.
-    """
-    a = [row[:] for row in rows]
-    nr = len(a)
-    nc = len(a[0]) if nr else 0
-    rank = 0
-    prev = 1
-    sign = 1
-    col = 0
-    while rank < nr and col < nc:
-        piv = None
-        for i in range(rank, nr):
-            if a[i][col]:
-                piv = i
-                break
-        if piv is None:
-            col += 1
-            continue
-        if piv != rank:
-            a[rank], a[piv] = a[piv], a[rank]
-            sign = -sign
-        pivot = a[rank][col]
-        for i in range(rank + 1, nr):
-            row_i = a[i]
-            row_r = a[rank]
-            factor = row_i[col]
-            for j in range(col, nc):
-                row_i[j] = (pivot * row_i[j] - factor * row_r[j]) // prev
-        prev = pivot
-        rank += 1
-        col += 1
-    if nr and nr == nc and rank == nr:
-        return rank, sign * prev
-    return rank, 0
+    return IntPolynomial(tuple(_charpoly_crt(rows)))
 
 
 def eigenvalue_multiplicity(g: Graph, lam: int) -> int:
-    """Multiplicity of the integer eigenvalue lam: n - rank(A - lam*I)."""
-    rows = adjacency_rows(g)
-    for i in range(g.n):
-        rows[i][i] -= lam
-    rank, _ = bareiss_rank_det(rows)
-    return g.n - rank
+    """Multiplicity of the integer eigenvalue lam of the adjacency matrix.
 
-
-def exact_determinant(rows: list[list[int]]) -> int:
-    n = len(rows)
-    if n == 0:
-        return 1
-    rank, det = bareiss_rank_det(rows)
-    return det if rank == n else 0
+    Exact as the root order of the charpoly: the matrix is symmetric, so
+    algebraic and geometric multiplicities agree.
+    """
+    return char_poly(g).root_multiplicity(lam)

@@ -14,7 +14,8 @@ from itertools import combinations_with_replacement
 
 import numpy as np
 
-from .errors import SizeCapExceeded
+from ._util import iter_bits
+from .errors import RingSemanticError, SizeCapExceeded
 from .graphs import (
     Graph,
     JoinSkeleton,
@@ -42,7 +43,7 @@ from .rings import (
     make_ring,
     spec_size,
 )
-from .ringexpr import render_ring_spec
+from .ringexpr import _factor_prime_power, render_ring_spec
 from .threshold import is_threshold
 
 
@@ -197,7 +198,7 @@ def verify_join_decomposition(p: int, alpha: int, cap: int = DEFAULT_CAP) -> Cla
         rebuilt = [0] * n
         for jv in range(n):
             row = 0
-            for u in _bits(joined.rows[jv]):
+            for u in iter_bits(joined.rows[jv]):
                 row |= 1 << order[u]
             rebuilt[order[jv]] = row
         if rebuilt != g.rows:
@@ -209,26 +210,11 @@ def verify_join_decomposition(p: int, alpha: int, cap: int = DEFAULT_CAP) -> Cla
     return _timed("join-decomposition", params, run)
 
 
-def _bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 def _field_spec(q: int) -> RingSpec:
-    p = 2
-    while p * p <= q:
-        if q % p == 0:
-            break
-        p += 1
-    else:
-        p = q
-    k = 0
-    while q % p == 0:
-        q //= p
-        k += 1
-    return GF(p, k)
+    pk = _factor_prime_power(q)
+    if pk is None:
+        raise RingSemanticError(f"field size {q} is not a prime power")
+    return GF(*pk)
 
 
 def verify_reduced_classification(field_sizes, pair_sizes=None, triple_sizes=None,

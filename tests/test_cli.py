@@ -1,4 +1,5 @@
 import json
+import time
 
 from zdgraph.cli import main
 
@@ -158,6 +159,22 @@ def test_usage_errors_exit_1(capsys):
 def test_cap_errors_exit_2(capsys):
     code, _, err = run_cli(capsys, "graph", "Z/50", "--cap", "10")
     assert code == 2 and "cap" in err.lower()
+
+
+def test_huge_rings_fail_fast_with_cap_error(capsys):
+    """A prime order of 10^18 is not trial-divided before the cap check, and
+    a size past Python's int-to-str limit is not formatted into the message."""
+    start = time.perf_counter()
+    code, _, err = run_cli(capsys, "threshold", "GF(1000000000000000003)")
+    assert code == 2 and "cap" in err and time.perf_counter() - start < 2
+    code, _, err = run_cli(capsys, "threshold", "FamB(10007)")
+    assert code == 2 and err.startswith("error:") and "10^40031" in err
+
+
+def test_verify_rejects_field_sizes_that_are_not_prime_powers(capsys):
+    for argv in (("--grid", "q=2,6,10"), ("--q", "6"), ("--q", "4", "--q", "1")):
+        code, out, err = run_cli(capsys, "verify", "reduced", *argv)
+        assert code == 1 and out == "" and "not a prime power" in err, argv
 
 
 def test_env_cap(capsys, monkeypatch):

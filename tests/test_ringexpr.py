@@ -1,10 +1,11 @@
+import math
 import random
 
 import pytest
 
 from zdgraph import rings as R
 from zdgraph.errors import RingSemanticError, RingSyntaxError
-from zdgraph.ringexpr import parse_ring_spec, render_ring_spec
+from zdgraph.ringexpr import _factor_prime_power, parse_ring_spec, render_ring_spec
 
 
 def test_parse_examples():
@@ -90,6 +91,30 @@ def test_semantic_errors():
         parse_ring_spec("Z/4[x]/(2x^2)")
     with pytest.raises(RingSemanticError):
         parse_ring_spec("Z/4[x]/(3)")
+
+
+def test_gf_orders_factor_without_trial_division_to_sqrt():
+    """Prime-power orders against trial division, plus large primes, prime
+    powers and semiprimes that a loop up to sqrt(q) could not finish."""
+    def trial(q):
+        p = next((f for f in range(2, math.isqrt(q) + 1) if q % f == 0), q)
+        k = 0
+        while q % p == 0:
+            q //= p
+            k += 1
+        return (p, k) if q == 1 else None
+
+    assert all(_factor_prime_power(q) == trial(q) for q in range(2, 20_000))
+    assert _factor_prime_power(1) is None and _factor_prime_power(0) is None
+    big = 10 ** 18 + 3
+    assert _factor_prime_power(big) == (big, 1)
+    assert parse_ring_spec(f"GF({big})") == R.GF(big, 1)
+    for p in (1031, 65537, 10 ** 9 + 7):
+        for k in (1, 2, 3, 6, 7):
+            assert _factor_prime_power(p ** k) == (p, k)
+            assert _factor_prime_power(p ** k * 1033) is None
+    assert _factor_prime_power((10 ** 9 + 7) * (10 ** 9 + 9)) is None
+    assert _factor_prime_power((1031 * 1033) ** 3) is None
 
 
 def test_syntax_errors_carry_positions():

@@ -113,6 +113,20 @@ def test_euler_phi_values_and_divisor_sum():
     assert all(sums[m] == m for m in range(1, limit + 1))
 
 
+def test_is_prime_matches_trial_division_and_rejects_strong_pseudoprimes():
+    sieve = [False, False] + [True] * (100_000 - 2)
+    for f in range(2, math.isqrt(len(sieve)) + 1):
+        if sieve[f]:
+            sieve[f * f::f] = [False] * len(range(f * f, len(sieve), f))
+    assert [n for n in range(-5, len(sieve)) if R.is_prime(n)] == \
+        [n for n in range(len(sieve)) if sieve[n]]
+    # strong pseudoprimes to every prime base up to 7, 31 and 37
+    for n in (3_215_031_751, 3_825_123_056_546_413_051, 318_665_857_834_031_151_167_461):
+        assert not R.is_prime(n), n
+    for p in (2 ** 61 - 1, 10 ** 18 + 3, 2 ** 89 - 1):
+        assert R.is_prime(p) and not R.is_prime(p * (2 ** 31 - 1))
+
+
 def test_reduced_and_field():
     assert R.is_reduced(R.make_ring(R.Zn(6)))
     assert not R.is_field(R.make_ring(R.Zn(6)))

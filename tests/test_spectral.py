@@ -1,6 +1,9 @@
 import random
+from fractions import Fraction
 
 import pytest
+
+from conftest import random_graph
 
 from zdgraph import graphs as G
 from zdgraph import rings as R
@@ -95,29 +98,103 @@ def test_not_equitable_carries_location():
     assert info.value.vertex in (1, 2)
 
 
+P61 = (1 << 61) - 1
+
+
+def _det_mod(rows, p=P61) -> int:
+    """det mod p by Gaussian elimination: a reference that shares no code
+    with the library's charpoly."""
+    a = [[x % p for x in row] for row in rows]
+    n = len(a)
+    det = 1
+    for c in range(n):
+        piv = next((i for i in range(c, n) if a[i][c]), None)
+        if piv is None:
+            return 0
+        if piv != c:
+            a[c], a[piv] = a[piv], a[c]
+            det = -det
+        det = det * a[c][c] % p
+        inv = pow(a[c][c], p - 2, p)
+        for i in range(c + 1, n):
+            f = a[i][c] * inv % p
+            if f:
+                a[i] = [(x - f * y) % p for x, y in zip(a[i], a[c])]
+    return det % p
+
+
+def _assert_charpoly_matches_det(rows, poly, what):
+    """det(x0 I - M) == poly(x0) mod P61 at n+1 points pins poly mod P61."""
+    n = len(rows)
+    assert poly.degree == n and poly.coeffs[0] == 1, what
+    for x0 in range(n + 1):
+        shifted = [[(x0 if i == j else 0) - rows[i][j] for j in range(n)] for i in range(n)]
+        assert _det_mod(shifted) == poly(x0) % P61, (what, x0)
+
+
+def _adjacency(g):
+    return [[(g.rows[u] >> v) & 1 for v in range(g.n)] for u in range(g.n)]
+
+
+def _fraction_rank(rows) -> int:
+    a = [[Fraction(x) for x in row] for row in rows]
+    rank = 0
+    for c in range(len(a[0]) if a else 0):
+        piv = next((i for i in range(rank, len(a)) if a[i][c]), None)
+        if piv is None:
+            continue
+        a[rank], a[piv] = a[piv], a[rank]
+        for i in range(rank + 1, len(a)):
+            f = a[i][c] / a[rank][c]
+            if f:
+                a[i] = [x - f * y for x, y in zip(a[i], a[rank])]
+        rank += 1
+    return rank
+
+
+RANK_SPECS = [R.Zn(12), R.Zn(27), R.Zn(36), R.FamA(2, 3), R.FamC(2),
+              R.Product((R.Zn(4), R.Zn(4))), R.Product((R.GF(3), R.GF(3)))]
+
+
 def test_charpoly_cross_validation_and_determinant():
-    """The modular path and the integer recurrence must agree exactly, and
-    evaluation at zero must match an independent exact determinant."""
+    """Random integer matrices, negative entries included: the charpoly
+    agrees with an independent modular determinant of x0 I - M."""
     rng = random.Random(17)
     for n in (1, 2, 3, 8, 20, 33, 41):
         rows = [[rng.randrange(-4, 5) for _ in range(n)] for _ in range(n)]
-        direct = S.IntPolynomial(tuple(S._charpoly_leverrier(rows)))
-        modular = S.IntPolynomial(tuple(S._charpoly_crt(rows)))
-        assert direct.coeffs == modular.coeffs, n
-        assert direct.degree == n and direct.coeffs[0] == 1
-        det = S.exact_determinant(rows)
-        assert direct(0) == (-1) ** n * det
+        _assert_charpoly_matches_det(rows, S.char_poly(rows), n)
+    assert S.char_poly([[2 ** 70, 1], [0, -3]]).coeffs == (1, 3 - 2 ** 70, -3 * 2 ** 70)
+
+
+def test_graph_charpoly_matches_determinant():
+    """The twin-quotient factorisation of graph charpolys, checked against
+    dense modular determinants on ring graphs, random code graphs and random
+    graphs with few or no twins."""
+    graphs = [(spec, G.build_zero_divisor_graph(R.make_ring(spec)))
+              for spec in RANK_SPECS + [R.Zn(30), R.Product((R.Zn(2), R.GF(3, 2)))]]
+    rng = random.Random(99)
+    for _ in range(12):
+        n = rng.randrange(1, 30)
+        bits = "0" + "".join(rng.choice("01") for _ in range(n - 1))
+        graphs.append((bits, T.build_threshold_from_code(bits)))
+    for _ in range(12):
+        n = rng.randrange(1, 30)
+        graphs.append((f"random {n}", random_graph(rng, n, 0.5)))
+    assert any(len(G.twin_partition(g).blocks) == g.n > 10 for _, g in graphs)
+    for what, g in graphs:
+        _assert_charpoly_matches_det(_adjacency(g), S.char_poly(g), what)
 
 
 def test_rank_multiplicity_equals_charpoly_root_order():
-    """Dual route: n - rank(A - lam I) must equal the root order of lam."""
-    specs = [R.Zn(12), R.Zn(27), R.Zn(36), R.FamA(2, 3), R.FamC(2),
-             R.Product((R.Zn(4), R.Zn(4))), R.Product((R.GF(3), R.GF(3)))]
-    for spec in specs:
+    """n - rank(A - lam I), by exact rational elimination in the test, must
+    equal the multiplicity the library reads off the charpoly."""
+    for spec in RANK_SPECS:
         g = G.build_zero_divisor_graph(R.make_ring(spec))
-        poly = S.char_poly(g)
         for lam in (0, -1):
-            assert S.eigenvalue_multiplicity(g, lam) == poly.root_multiplicity(lam), spec
+            rows = _adjacency(g)
+            for i in range(g.n):
+                rows[i][i] -= lam
+            assert S.eigenvalue_multiplicity(g, lam) == g.n - _fraction_rank(rows), (spec, lam)
 
 
 def test_multiplicity_consistency_factorization():
