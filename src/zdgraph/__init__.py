@@ -23,6 +23,7 @@ from .errors import (
     ZdgError,
 )
 from .graphs import (
+    ClassSkeleton,
     Graph,
     JoinSkeleton,
     Partition,

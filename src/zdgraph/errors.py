@@ -1,7 +1,5 @@
 """Exception types shared across the package."""
 
-import math
-
 
 class ZdgError(Exception):
     """Base class for all zdgraph errors."""
@@ -15,10 +13,12 @@ class SizeCapExceeded(ZdgError):
     """A ring or graph would exceed the configured element cap."""
 
     @classmethod
-    def over(cls, what: str, size: int, cap: int) -> "SizeCapExceeded":
-        """States ``size`` by its order of magnitude: a size far above the
-        cap can be past the digit limit of Python's int-to-str conversion."""
-        return cls(f"{what} has more than the cap of {cap} elements (about 10^{round(math.log10(size))})")
+    def over(cls, what: str, log10_size: float, cap: int) -> "SizeCapExceeded":
+        """States the size by its order of magnitude, so a size far above
+        the cap need never be computed or formatted; ``what`` is shortened."""
+        if len(what) > 60:
+            what = what[:40] + "..." + what[-17:]
+        return cls(f"{what} has more than the cap of {cap} elements (about 10^{round(log10_size)})")
 
 
 class NonMonicModulus(ZdgError):

@@ -2,12 +2,18 @@
 
 Rows are Python ints used as bitmasks; equal rows are shared between
 twin vertices, which keeps even the largest supported graphs compact.
+Each graph also carries its class skeleton (``Graph.skeleton``): classes
+of mutual twins and how they join.  Twins, quotients, orbits and threshold
+recognition work on its k classes instead of the n rows.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
+
+import numpy as np
 
 from ._util import DSU, iter_bits, mask_from
 from .errors import SizeCapExceeded, WrongRingKind, ZdgError
@@ -18,7 +24,7 @@ from .rings import DEFAULT_CAP, Ring, ZnRing, annihilator_keys, euler_phi
 class Graph:
     """Undirected simple graph; ``rows[v]`` is the neighbor bitmask of v."""
 
-    __slots__ = ("n", "rows", "labels", "provenance")
+    __slots__ = ("n", "rows", "labels", "provenance", "_skeleton")
 
     def __init__(self, n: int, rows: list[int], labels: list[str] | None = None,
                  provenance: str | None = None):
@@ -26,6 +32,15 @@ class Graph:
         self.rows = rows
         self.labels = labels if labels is not None else [str(i) for i in range(n)]
         self.provenance = provenance
+        self._skeleton = None
+
+    def skeleton(self) -> "ClassSkeleton":
+        """The class skeleton: the builder's for ring graphs, else the twin
+        classes, hashed from the rows on first use.  Computing it twice
+        gives equal values, so a graph stays safe to share across threads."""
+        if self._skeleton is None:
+            self._skeleton = ClassSkeleton.from_rows(self.rows)
+        return self._skeleton
 
     @classmethod
     def from_edges(cls, n: int, edges, labels=None, provenance=None) -> "Graph":
@@ -136,15 +151,15 @@ class Partition:
     n: int
 
     def __post_init__(self):
-        seen = 0
+        seen: set = set()
         total = 0
         for _, block in self.blocks:
-            m = mask_from(block)
-            if m & seen:
+            vs = set(block)
+            if not seen.isdisjoint(vs):
                 raise ZdgError("partition blocks overlap")
-            seen |= m
+            seen |= vs
             total += len(block)
-        if total != self.n or (self.n and seen != (1 << self.n) - 1):
+        if total != self.n or len(seen) != self.n or (seen and (min(seen) < 0 or max(seen) >= self.n)):
             raise ZdgError("partition does not cover all vertices")
 
     def block_sizes(self) -> list[int]:
@@ -182,6 +197,82 @@ def make_partition(blocks, kind: str, n: int) -> Partition:
 
 
 @dataclass(frozen=True)
+class ClassSkeleton:
+    """A graph as the generalized join of k classes of mutual twins.
+
+    ``members[i]`` lists class i's vertices in ascending order, classes
+    ordered by least vertex.  Class i induces a clique when ``clique[i]``
+    and an independent set otherwise (the flag means nothing for a single
+    vertex).  Bit j of ``join[i]`` is set when classes i and j are fully
+    joined; otherwise no edge runs between them.  Cardoso, de Freitas,
+    Martins & Robbiano, Discrete Math. 313 (2013).
+    """
+
+    members: tuple  # tuple[tuple[int, ...], ...]
+    clique: tuple   # tuple[bool, ...]
+    join: tuple     # tuple[int, ...], k-bit masks
+
+    @classmethod
+    def from_rows(cls, rows: list[int]) -> "ClassSkeleton":
+        """Twin classes: the twin groups of one class per vertex."""
+        n = len(rows)
+        singletons = cls(tuple((v,) for v in range(n)), (False,) * n, tuple(rows))
+        members = tuple(tuple(grp) for grp in singletons.twin_groups())
+        clique = tuple(len(m) > 1 and (rows[m[0]] >> m[1]) & 1 == 1 for m in members)
+        # join[i] gathers the bits of class i's row at every class's least
+        # vertex, a block of rows at a time
+        reps = np.array([m[0] for m in members], dtype=np.int64)
+        nbytes = n // 8 + 1
+        join = []
+        for start in range(0, len(members), 256):
+            block = members[start:start + 256]
+            raw = b"".join(rows[m[0]].to_bytes(nbytes, "little") for m in block)
+            bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8).reshape(len(block), nbytes),
+                                 axis=1, bitorder="little")
+            packed = np.packbits(bits[:, reps], axis=1, bitorder="little")
+            join.extend(int.from_bytes(r.tobytes(), "little") for r in packed)
+        return cls(members, clique, tuple(join))
+
+    @cached_property
+    def class_of(self) -> list[int]:
+        """Class index of each vertex."""
+        out = [0] * sum(len(m) for m in self.members)
+        for i, mem in enumerate(self.members):
+            for v in mem:
+                out[v] = i
+        return out
+
+    def twin_groups(self) -> list[list[int]]:
+        """Classes grouped into twin classes, ordered by least vertex.
+
+        Classes i and j are twins when their join masks agree outside
+        {i, j} and each class of several vertices is a clique exactly when
+        i and j are joined: equal masks when apart, equal masks plus the
+        own bit when joined.
+        """
+        dsu = DSU(len(self.members))
+        open_groups: dict[int, int] = {}
+        closed_groups: dict[int, int] = {}
+        for i, (mem, mask) in enumerate(zip(self.members, self.join)):
+            single = len(mem) == 1
+            if single or not self.clique[i]:
+                prev = open_groups.setdefault(mask, i)
+                if prev != i:
+                    dsu.union(prev, i)
+            if single or self.clique[i]:
+                prev = closed_groups.setdefault(mask | (1 << i), i)
+                if prev != i:
+                    dsu.union(prev, i)
+        return dsu.groups()
+
+    def vertices(self, classes: list[int]) -> tuple[int, ...]:
+        """The vertices of some classes, in ascending order."""
+        if len(classes) == 1:
+            return self.members[classes[0]]
+        return tuple(sorted(v for c in classes for v in self.members[c]))
+
+
+@dataclass(frozen=True)
 class JoinSkeleton:
     skeleton: Graph
     parts: tuple
@@ -201,7 +292,7 @@ def build_zero_divisor_graph(ring: Ring, cap: int = DEFAULT_CAP) -> Graph:
     """
     n = ring.size
     if n > cap:
-        raise SizeCapExceeded.over("graph", n, cap)
+        raise SizeCapExceeded.over("graph", math.log10(n), cap)
     keys = annihilator_keys(ring)
     class_of = [0] * n
     members: list[list[int]] = []
@@ -227,13 +318,17 @@ def build_zero_divisor_graph(ring: Ring, cap: int = DEFAULT_CAP) -> Graph:
     zero = ring.zero
     clique = [ring.mul(r, r) == zero for r in reps]
     base_rows = []
+    join = []
     for ci in range(k):
         row = masks[ci] if clique[ci] else 0
         ri = reps[ci]
+        joined = 0
         for cj in range(k):
             if cj != ci and ring.mul(ri, reps[cj]) == zero:
                 row |= masks[cj]
+                joined |= 1 << cj
         base_rows.append(row)
+        join.append(joined)
 
     rows = [0] * n
     for ci in range(k):
@@ -245,7 +340,9 @@ def build_zero_divisor_graph(ring: Ring, cap: int = DEFAULT_CAP) -> Graph:
             for v in members[ci]:
                 rows[v] = base
     labels = [ring.label(i) for i in range(n)]
-    return Graph(n, rows, labels, provenance=render_ring_spec(ring.spec))
+    g = Graph(n, rows, labels, provenance=render_ring_spec(ring.spec))
+    g._skeleton = ClassSkeleton(tuple(map(tuple, members)), tuple(clique), tuple(join))
+    return g
 
 
 def gcd_class_partition(ring: Ring) -> Partition:
@@ -262,19 +359,8 @@ def gcd_class_partition(ring: Ring) -> Partition:
 
 def twin_partition(g: Graph) -> Partition:
     """Blocks of mutually twin vertices: N(u) minus v equals N(v) minus u."""
-    dsu = DSU(g.n)
-    open_groups: dict[int, int] = {}
-    closed_groups: dict[int, int] = {}
-    for v in range(g.n):
-        row = g.rows[v]
-        prev = open_groups.setdefault(row, v)
-        if prev != v:
-            dsu.union(prev, v)
-        closed = row | (1 << v)
-        prev = closed_groups.setdefault(closed, v)
-        if prev != v:
-            dsu.union(prev, v)
-    blocks = [(f"T{i}", tuple(grp)) for i, grp in enumerate(dsu.groups())]
+    sk = g.skeleton()
+    blocks = [(f"T{i}", sk.vertices(grp)) for i, grp in enumerate(sk.twin_groups())]
     return Partition(tuple(blocks), "twin", g.n)
 
 
@@ -336,8 +422,8 @@ def orbit_block_classification(p: int, alpha: int, cap: int = DEFAULT_CAP):
     Block i holds the elements of gcd p^i; it induces a complete subgraph
     exactly when 2*i >= alpha, and singleton blocks count as complete.
     """
-    if p ** alpha > cap:
-        raise SizeCapExceeded.over(f"Z/{p}^{alpha}", p ** alpha, cap)
+    if alpha * math.log10(p) > math.log10(max(cap, 1)) + 1 or p ** alpha > cap:
+        raise SizeCapExceeded.over(f"Z/{p}^{alpha}", alpha * math.log10(p), cap)
     out = []
     for i in range(alpha + 1):
         size = euler_phi(p ** (alpha - i))

@@ -6,7 +6,7 @@ from itertools import permutations
 
 from ._util import DSU, iter_bits
 from .errors import OracleCapExceeded
-from .graphs import Graph, Partition, twin_partition
+from .graphs import Graph, Partition
 
 ORBIT_ORACLE_CAP = 5000       # quotient size after twin compression
 UNCOMPRESSED_CAP = 60         # raw size for the no-compression cross-checker
@@ -109,36 +109,27 @@ def aut_orbits(g: Graph, use_twin_compression: bool = True,
         blocks = [(f"O{i}", tuple(b)) for i, b in enumerate(dsu.groups())]
         return Partition(tuple(blocks), "aut", g.n)
 
-    twins = twin_partition(g)
-    k = len(twins.blocks)
+    sk = g.skeleton()
+    twins = sk.twin_groups()  # skeleton classes per twin class
+    k = len(twins)
     if k > compressed_cap:
         raise OracleCapExceeded(f"{k} twin classes above the oracle cap {compressed_cap}")
-    reps = [block[0] for _, block in twins.blocks]
-    rep_pos = {r: i for i, r in enumerate(reps)}
-    q_masks = [0] * k
-    for i, r in enumerate(reps):
-        row = 0
-        for j, s in enumerate(reps):
-            if j != i and g.adjacent(r, s):
-                row |= 1 << j
-        q_masks[i] = row
+    reps = [group[0] for group in twins]
+    q_masks = [sum(1 << j for j, s in enumerate(reps) if sk.join[r] >> s & 1) for r in reps]
     # color = (size, internal type); singleton classes get the neutral type
     color_key = []
-    for _, block in twins.blocks:
-        internal = len(block) > 1 and g.adjacent(block[0], block[1])
-        color_key.append((len(block), internal))
+    for group in twins:
+        size = sum(len(sk.members[c]) for c in group)
+        if len(group) > 1:
+            internal = sk.join[group[0]] >> group[1] & 1 == 1
+        else:
+            internal = size > 1 and sk.clique[group[0]]
+        color_key.append((size, internal))
     palette = {key: i for i, key in enumerate(sorted(set(color_key)))}
     dsu = _orbits_of_colored_graph(q_masks, [palette[key] for key in color_key])
-
-    lifted = DSU(g.n)
-    for _, block in twins.blocks:
-        for v in block[1:]:
-            lifted.union(block[0], v)
-    for group in dsu.groups():
-        first = twins.blocks[group[0]][1][0]
-        for ci in group[1:]:
-            lifted.union(first, twins.blocks[ci][1][0])
-    blocks = [(f"O{i}", tuple(b)) for i, b in enumerate(lifted.groups())]
+    orbits = [sk.vertices([c for t in group for c in twins[t]]) for group in dsu.groups()]
+    orbits.sort()
+    blocks = [(f"O{i}", orbit) for i, orbit in enumerate(orbits)]
     return Partition(tuple(blocks), "aut", g.n)
 
 

@@ -11,6 +11,11 @@
 The standalone token "x" separates product factors; inside "[x]/(...)"
 it is the polynomial variable.  GF accepts any prime power and factors it.
 Error positions are 1-based columns into the original string.
+
+Numbers have at most MAX_DIGITS digits, and exponents of x and FamA's
+alpha are at most MAX_EXPONENT; past either bound the ring would have far
+more elements than any cap allows.  The bounds keep parsing linear in the
+input and every primality test below 10^24, where it is exact and fast.
 """
 
 from __future__ import annotations
@@ -19,6 +24,10 @@ import math
 
 from .errors import NonMonicModulus, RingSemanticError, RingSyntaxError, ZdgError
 from .rings import GF, FamA, FamB, FamC, FamD, MonicQuotient, Product, RingSpec, Zn, is_prime
+
+
+MAX_DIGITS = 24
+MAX_EXPONENT = 64
 
 
 class _Cursor:
@@ -44,7 +53,17 @@ class _Cursor:
             self.pos += 1
         if self.pos == start:
             raise RingSyntaxError(f"expected {what}", self.column(), (what,))
+        if self.pos - start > MAX_DIGITS:
+            self.pos = start
+            raise RingSyntaxError(f"{what} longer than {MAX_DIGITS} digits", self.column(), (what,))
         return int(self.text[start:self.pos])
+
+    def exponent(self, what: str) -> int:
+        col = self.column()
+        value = self.nat(what)
+        if value > MAX_EXPONENT:
+            raise RingSyntaxError(f"{what} above {MAX_EXPONENT}", col, (what,))
+        return value
 
     def at_end(self) -> bool:
         return self.pos >= len(self.text)
@@ -106,7 +125,7 @@ def _parse_poly(cur: _Cursor, n: int) -> tuple[int, ...]:
             power = 1
             if cur.peek() == "^":
                 cur.pos += 1
-                power = cur.nat("exponent")
+                power = cur.exponent("exponent")
             c = coeff if coeff is not None else 1
         else:
             if coeff is None:
@@ -166,7 +185,7 @@ def _parse_atom(text: str, offset: int) -> RingSpec:
             if name == "FamA":
                 cur.expect(",", ",")
                 acol = cur.column()
-                alpha = cur.nat("alpha")
+                alpha = cur.exponent("alpha")
                 if alpha < 1:
                     raise RingSemanticError(f"FamA: alpha must be >= 1 (column {acol})")
                 cur.expect(")", ")")

@@ -548,11 +548,37 @@ class ProductRing(Ring):
         return "(" + ",".join(f.label(x) for f, x in zip(self.factors, self._split(i))) + ")"
 
 
+def _spec_log10_size(spec: RingSpec) -> float:
+    """log10 of spec_size(spec), computed without the size itself."""
+    log = math.log10
+    if isinstance(spec, Zn):
+        return log(spec.n)
+    if isinstance(spec, GF):
+        return spec.k * log(spec.p)
+    if isinstance(spec, MonicQuotient):
+        return spec.degree * log(spec.base.n)
+    if isinstance(spec, FamA):
+        return (spec.alpha + 1) * log(spec.p)
+    if isinstance(spec, FamB):
+        return spec.p * log(spec.p)
+    if isinstance(spec, FamC):
+        return 4 * log(spec.p)
+    if isinstance(spec, FamD):
+        return 3 * log(spec.p)
+    if isinstance(spec, Product):
+        return sum(_spec_log10_size(f) for f in spec.factors)
+    raise TypeError(f"not a RingSpec: {spec!r}")
+
+
 def make_ring(spec: RingSpec, cap: int = DEFAULT_CAP) -> Ring:
-    """Construct arithmetic for ``spec``; rejects rings above ``cap`` elements."""
-    size = spec_size(spec)
-    if size > cap:
-        raise SizeCapExceeded.over(repr(spec), size, cap)
+    """Construct arithmetic for ``spec``; rejects rings above ``cap`` elements.
+
+    The size is compared in log form first, so a spec far above the cap
+    costs no big-integer power."""
+    log10_size = _spec_log10_size(spec)
+    if log10_size > math.log10(max(cap, 1)) + 1 or spec_size(spec) > cap:
+        from .ringexpr import render_ring_spec  # ringexpr imports this module
+        raise SizeCapExceeded.over(render_ring_spec(spec), log10_size, cap)
     if isinstance(spec, Zn):
         return ZnRing(spec)
     if isinstance(spec, GF):

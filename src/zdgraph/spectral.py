@@ -9,11 +9,11 @@ coefficient bound, so no result ever depends on floating point.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import mask_from
 from .errors import MixedBlock, NotEquitable
 from .graphs import Graph, Partition, twin_partition
 from .rings import is_prime
@@ -136,25 +136,39 @@ def equitable_quotient_matrix(g: Graph, partition: Partition) -> QuotientMatrix:
 
     Raises NotEquitable unless every block pair is fully joined or fully
     separated, and MixedBlock unless each block is a clique or independent.
+
+    The checks run on cells, the nonempty intersections of blocks with the
+    graph's skeleton classes.  A cell is a set of twins, so its vertices
+    agree on every block: a block is checked once per cell, and the first
+    failing vertex of a block is the first vertex of its first failing cell.
     """
+    sk = g.skeleton()
+    class_of = sk.class_of
     blocks = partition.blocks
-    masks = [mask_from(b) for _, b in blocks]
+    # per block: vertices per class, in order of first vertex, and the class mask
+    cells = [Counter(map(class_of.__getitem__, block)) for _, block in blocks]
+    class_masks = [sum(1 << c for c in cell) for cell in cells]
+
+    def touching(c: int, j: int) -> int:
+        """Classes of block j's cells that a vertex of class c is adjacent to
+        (a cell of class c itself counts when the class is a clique)."""
+        adj = sk.join[c] & class_masks[j]
+        if sk.clique[c]:
+            adj |= class_masks[j] & (1 << c)
+        return adj
+
     kinds = []
-    for (label, block), mask in zip(blocks, masks):
+    for (label, block), cell, mask in zip(blocks, cells, class_masks):
         if len(block) == 1:
             kinds.append("clique")  # neutral; diagonal entry is 0 either way
-            continue
-        first = g.rows[block[0]] & mask
-        internal_clique = first == mask ^ (1 << block[0])
-        internal_indep = first == 0
-        if not (internal_clique or internal_indep):
+        elif all(sk.join[c] & mask == mask ^ (1 << c) and (size == 1 or sk.clique[c])
+                 for c, size in cell.items()):
+            kinds.append("clique")
+        elif all(sk.join[c] & mask == 0 and (size == 1 or not sk.clique[c])
+                 for c, size in cell.items()):
+            kinds.append("independent")
+        else:
             raise MixedBlock(label)
-        for v in block:
-            inside = g.rows[v] & mask
-            want = (mask ^ (1 << v)) if internal_clique else 0
-            if inside != want:
-                raise MixedBlock(label)
-        kinds.append("clique" if internal_clique else "independent")
     k = len(blocks)
     entries = [[0] * k for _ in range(k)]
     for i, (label_i, block_i) in enumerate(blocks):
@@ -163,12 +177,11 @@ def equitable_quotient_matrix(g: Graph, partition: Partition) -> QuotientMatrix:
                 if kinds[i] == "clique":
                     entries[i][i] = len(block_i) - 1
                 continue
-            joined = g.rows[block_i[0]] & masks[j]
-            expect = masks[j] if joined else 0
-            for v in block_i:
-                if g.rows[v] & masks[j] != expect:
-                    raise NotEquitable(v, label_j)
-            if joined:
+            expect = class_masks[j] if touching(class_of[block_i[0]], j) else 0
+            for c in cells[i]:
+                if touching(c, j) != expect:
+                    raise NotEquitable(next(v for v in block_i if class_of[v] == c), label_j)
+            if expect:
                 entries[i][j] = len(block_j)
     return QuotientMatrix(
         tuple(tuple(r) for r in entries),

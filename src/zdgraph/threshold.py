@@ -94,67 +94,93 @@ class ThresholdResult:
         }
 
 
-def _witness_from_remaining(g: Graph, remaining: list[int], rem_degree) -> AlternatingFourCycle:
-    """Deterministic witness for a non-dismantlable induced subgraph.
+def _stall_witness(g: Graph, remaining: list[int], degs: list[int]) -> AlternatingFourCycle:
+    """Deterministic witness for a non-dismantlable set of skeleton classes.
 
-    Scans vertices in remaining-degree order; some consecutive pair must
-    have incomparable neighborhoods, which pins the four witness vertices.
+    Scans the remaining vertices in (degree descending, index) order; some
+    consecutive pair must have incomparable neighborhoods, which pins the
+    four witness vertices.  Twins are never incomparable, so only pairs
+    from two classes are tested.
     """
-    rem_mask = mask_from(remaining)
-    order = sorted(remaining, key=lambda v: (-rem_degree(v), v))
-    for u, v in zip(order, order[1:]):
-        bit_u, bit_v = 1 << u, 1 << v
-        nu = g.rows[u] & rem_mask
-        nv = g.rows[v] & rem_mask
-        b_mask = nu & ~nv & ~bit_v
-        d_mask = nv & ~nu & ~bit_u
-        if b_mask and d_mask:
-            b = lowest_bit(b_mask)
-            d = lowest_bit(d_mask)
-            return AlternatingFourCycle(u, b, d, v, _shape_of(g, u, b, d, v))
+    sk = g.skeleton()
+    rem = sum(1 << c for c in remaining)
+
+    def lowest_outside(c: int, v: int) -> int | None:
+        """Least vertex of class c other than v."""
+        mem = sk.members[c]
+        if mem[0] != v:
+            return mem[0]
+        return mem[1] if len(mem) > 1 else None
+
+    def private(u: int, cu: int, v: int, cv: int) -> int | None:
+        """Least remaining neighbor of u that is neither v nor a neighbor of v."""
+        others = sk.join[cu] & ~sk.join[cv] & rem & ~(1 << cv)
+        found = [sk.members[c][0] for c in iter_bits(others)]
+        joined = sk.join[cu] >> cv & 1
+        if sk.clique[cu] and not joined:
+            found.append(lowest_outside(cu, u))
+        if joined and not sk.clique[cv]:
+            found.append(lowest_outside(cv, v))
+        found = [w for w in found if w is not None]
+        return min(found) if found else None
+
+    by_degree: dict[int, list[int]] = {}
+    for c in remaining:
+        by_degree.setdefault(degs[c], []).append(c)
+    prev = None
+    for deg in sorted(by_degree, reverse=True):
+        group = by_degree[deg]
+        if len(group) == 1:  # only its least and greatest vertex meet another class
+            mem = sk.members[group[0]]
+            order = [(mem[0], group[0]), (mem[-1], group[0])]
+        else:
+            order = sorted((v, c) for c in group for v in sk.members[c])
+        for v, cv in order:
+            if prev is not None and prev[1] != cv:
+                u, cu = prev
+                b = private(u, cu, v, cv)
+                d = private(v, cv, u, cu) if b is not None else None
+                if d is not None:
+                    return AlternatingFourCycle(u, b, d, v, _shape_of(g, u, b, d, v))
+            prev = (v, cv)
     raise AssertionError("stalled subgraph must contain an incomparable pair")
 
 
 def is_threshold(g: Graph) -> ThresholdResult:
-    """Dismantle by isolated/dominating deletions; certificate either way."""
+    """Dismantle by isolated/dominating deletions; certificate either way.
+
+    Twins share a degree, so whole skeleton classes leave at once: all
+    remaining vertices of the isolated (or dominating) degree go in one
+    run of the creation sequence.  An isolated and a dominating vertex
+    never coexist in two or more vertices, so the sequence is canonical.
+    """
     n = g.n
     if n == 0:
         return ThresholdResult(True, None, None)
-    deg0 = g.degrees()
+    sk = g.skeleton()
+    degs = [g.degree(mem[0]) for mem in sk.members]
     buckets: dict[int, list[int]] = {}
-    for v in range(n - 1, -1, -1):  # lists end with the lowest index
-        buckets.setdefault(deg0[v], []).append(v)
-
-    def pop_min(d: int) -> int | None:
-        b = buckets.get(d)
-        return b.pop() if b else None
-
-    def peek_min(d: int) -> int | None:
-        b = buckets.get(d)
-        return b[-1] if b else None
-
+    for c, d in enumerate(degs):
+        buckets.setdefault(d, []).append(c)
     record: list[str] = []
     dominated = 0
-    for step in range(n):
-        n_rem = n - step
-        if n_rem == 1:
-            record.append("0")  # the initial vertex is recorded as isolated
-            continue
-        iso_deg = dominated
-        dom_deg = dominated + n_rem - 1
-        iso = peek_min(iso_deg)
-        dom = peek_min(dom_deg) if dom_deg != iso_deg else None
-        if iso is None and dom is None:
-            remaining = [v for b in buckets.values() for v in b]
-            witness = _witness_from_remaining(g, remaining, lambda v: deg0[v] - dominated)
-            return ThresholdResult(False, None, witness)
-        if dom is None or (iso is not None and iso < dom):
-            pop_min(iso_deg)
-            record.append("0")
-        else:
-            pop_min(dom_deg)
-            record.append("1")
-            dominated += 1
+    n_rem = n
+    while n_rem > 1:
+        bit = "0"
+        classes = buckets.pop(dominated, None)
+        if classes is None:
+            bit = "1"
+            classes = buckets.pop(dominated + n_rem - 1, None)
+        if classes is None:
+            remaining = sorted(c for cs in buckets.values() for c in cs)
+            return ThresholdResult(False, None, _stall_witness(g, remaining, degs))
+        # the last vertex left is recorded as the isolated initial vertex
+        take = min(sum(len(sk.members[c]) for c in classes), n_rem - 1)
+        record.append(bit * take)
+        n_rem -= take
+        if bit == "1":
+            dominated += take
+    record.append("0")
     return ThresholdResult(True, CreationSequence("".join(reversed(record))), None)
 
 
@@ -195,10 +221,12 @@ def run_block_partition(code: CreationSequence | str) -> Partition:
 
 
 def _vicinal_order_total(g: Graph) -> bool:
-    """True iff neighborhoods are nested along the degree order (no 4-cycle)."""
-    degs = g.degrees()
-    order = sorted(range(g.n), key=lambda v: (-degs[v], v))
-    for u, v in zip(order, order[1:]):
+    """True iff neighborhoods are nested along the degree order (no 4-cycle).
+
+    Twins are nested both ways, so one vertex per skeleton class stands
+    for its class."""
+    reps = sorted((-g.degree(mem[0]), mem[0]) for mem in g.skeleton().members)
+    for (_, u), (_, v) in zip(reps, reps[1:]):
         if (g.rows[v] & ~(1 << u)) & ~g.rows[u]:
             return False
     return True
@@ -209,19 +237,25 @@ def find_alternating_four_cycle(g: Graph) -> AlternatingFourCycle | None:
 
     For large graphs a nestedness test settles the empty case first, so
     confirming a threshold graph stays near-linear; any returned witness
-    still comes from the lexicographic scan.
+    still comes from the lexicographic scan.  The scan tries as a only the
+    least vertex of each skeleton class, as b the least two, as c the least
+    three: swapping twins is an automorphism, and it maps any witness with
+    a later choice onto an earlier one.
     """
     n = g.n
     if n > _LEX_ONLY_CAP and _vicinal_order_total(g):
         return None
+    members = g.skeleton().members
+    cand_a = mask_from(m[0] for m in members)
+    cand_b = mask_from(v for m in members for v in m[:2])
+    cand_c = mask_from(v for m in members for v in m[:3])
     full = g.full_mask()
-    for a in range(n):
+    for a in iter_bits(cand_a):
         row_a = g.rows[a]
-        comp_a = ~row_a & full & ~(1 << a)
-        for b in iter_bits(row_a):
+        comp_a = ~row_a & full & ~(1 << a) & cand_c
+        for b in iter_bits(row_a & cand_b):
             not_ab = ~((1 << a) | (1 << b))
-            cand_c = comp_a & ~(1 << b)
-            for c in iter_bits(cand_c):
+            for c in iter_bits(comp_a & ~(1 << b)):
                 cand_d = g.rows[c] & ~g.rows[b] & not_ab
                 if cand_d:
                     d = lowest_bit(cand_d)

@@ -8,6 +8,7 @@ and returns a ClaimReport whose payload makes any failure reproducible.
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
@@ -210,7 +211,10 @@ def verify_join_decomposition(p: int, alpha: int, cap: int = DEFAULT_CAP) -> Cla
     return _timed("join-decomposition", params, run)
 
 
-def _field_spec(q: int) -> RingSpec:
+def _field_spec(q: int, cap: int = DEFAULT_CAP) -> RingSpec:
+    """GF(q); an order above the cap is refused before any primality test."""
+    if q > cap:
+        raise SizeCapExceeded.over("field size", math.log10(q), cap)
     pk = _factor_prime_power(q)
     if pk is None:
         raise RingSemanticError(f"field size {q} is not a prime power")
@@ -230,7 +234,7 @@ def verify_reduced_classification(field_sizes, pair_sizes=None, triple_sizes=Non
         failures = []
         checked = 0
         for q in field_sizes:
-            for spec in (_field_spec(q), Product((Zn(2), _field_spec(q)))):
+            for spec in (_field_spec(q, cap), Product((Zn(2), _field_spec(q, cap)))):
                 g = build_zero_divisor_graph(make_ring(spec, cap=cap), cap=cap)
                 res = is_threshold(g)
                 checked += 1
@@ -239,16 +243,16 @@ def verify_reduced_classification(field_sizes, pair_sizes=None, triple_sizes=Non
         for q1, q2 in combinations_with_replacement(pair_sizes, 2):
             if q1 <= 2:
                 continue
-            spec = Product((_field_spec(q1), _field_spec(q2)))
+            spec = Product((_field_spec(q1, cap), _field_spec(q2, cap)))
             g = build_zero_divisor_graph(make_ring(spec, cap=cap), cap=cap)
             res = is_threshold(g)
             checked += 1
             if res.is_threshold or not res.witness.validate(g):
                 failures.append({"ring": render_ring_spec(spec), "expected": "not_threshold"})
         for qs in combinations_with_replacement(triple_sizes, 3):
-            spec = Product(tuple(_field_spec(q) for q in qs))
-            if spec_size(spec) > cap:
+            if math.prod(qs) > cap:
                 continue
+            spec = Product(tuple(_field_spec(q, cap) for q in qs))
             g = build_zero_divisor_graph(make_ring(spec, cap=cap), cap=cap)
             res = is_threshold(g)
             checked += 1

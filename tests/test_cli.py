@@ -190,3 +190,28 @@ def test_byte_identical_graph_output(capsys):
     code, out1, _ = run_cli(capsys, "graph", "Z/30")
     code, out2, _ = run_cli(capsys, "graph", "Z/30")
     assert out1 == out2
+
+
+def test_oversized_expressions_end_fast_with_short_errors(capsys):
+    """Exponents and number lengths are bounded by the grammar, so neither
+    a huge coefficient list nor a primality test on a huge order runs, and
+    no message echoes the input's number or modulus."""
+    big_order = "1" + "0" * 3999 + "1"  # 10^4000 + 1
+    for expr in ("Z/4[x]/(x^100000000)", "Z/4[x]/(x^1000000)",
+                 "GF(1" + "0" * 999 + "1)", f"GF({big_order})"):
+        start = time.perf_counter()
+        code, _, err = run_cli(capsys, "threshold", expr)
+        assert code == 2 and err.startswith("error:"), expr[:40]
+        assert len(err.encode()) < 1024 and time.perf_counter() - start < 2, expr[:40]
+    # a field size above the cap is skipped by the sweep without being factored
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "verify", "reduced", "--q", big_order)
+    assert code == 0 and err == "" and "skipped=1" in out and time.perf_counter() - start < 2
+
+
+def test_large_ring_queries_finish_fast(capsys):
+    """Twins, quotients and orbits work per annihilator class, not per element."""
+    for argv in (("spectra", "Z/30030"), ("orbits", "Z/60060")):
+        start = time.perf_counter()
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0 and out and time.perf_counter() - start < 2, argv

@@ -135,3 +135,35 @@ def test_fuzz_never_crashes():
             parse_ring_spec(text)
         except (RingSyntaxError, RingSemanticError):
             pass
+
+
+def test_grammar_bounds_on_exponents_and_numbers():
+    assert parse_ring_spec("Z/2[x]/(x^64)").modulus[-1] == 1
+    assert parse_ring_spec("FamA(2,64)") == R.FamA(2, 64)
+    assert parse_ring_spec("Z/" + "9" * 24) == R.Zn(10 ** 24 - 1)
+    for text, column in (("Z/2[x]/(x^65)", 11), ("FamA(2,65)", 8), ("Z/" + "9" * 25, 3),
+                         ("GF(" + "7" * 30 + ")", 4), ("Z/4[x]/(" + "1" * 25 + "x^2)", 9)):
+        with pytest.raises(RingSyntaxError) as info:
+            parse_ring_spec(text)
+        assert info.value.position == column, text
+        assert len(str(info.value)) < 60, text
+
+
+def test_cap_is_compared_in_log_form_with_short_names():
+    """Sizes far past the cap are refused without computing them, and the
+    spec is named by its grammar form, shortened."""
+    from zdgraph.errors import SizeCapExceeded
+
+    p = 99999999999999999989  # prime; FamB(p) has p^p elements
+    with pytest.raises(SizeCapExceeded, match=r"^FamB\(99999999999999999989\) has more .* \(about 10\^\d{22}\)$"):
+        R.make_ring(R.FamB(p))
+    long_modulus = R.MonicQuotient(R.Zn(4), (0,) * 100_000 + (1,))
+    with pytest.raises(SizeCapExceeded) as info:
+        R.make_ring(long_modulus)
+    assert str(info.value).startswith("Z/4[x]/(x^100000)") and len(str(info.value)) < 160
+    with pytest.raises(SizeCapExceeded):
+        R.make_ring(R.Zn(100_001))
+    assert R.make_ring(R.Zn(100_000)).size == 100_000
+    assert R.make_ring(R.Zn(7), cap=7).size == 7
+    with pytest.raises(SizeCapExceeded):
+        R.make_ring(R.Zn(7), cap=0)
