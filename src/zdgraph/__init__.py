@@ -42,7 +42,6 @@ from .ringexpr import parse_ring_spec, render_ring_spec
 from .rings import (
     DEFAULT_CAP,
     GF,
-    ElementClass,
     FamA,
     FamB,
     FamC,
@@ -52,11 +51,8 @@ from .rings import (
     Ring,
     RingSpec,
     Zn,
-    classify_element,
     euler_phi,
-    is_field,
     is_prime,
-    is_reduced,
     make_ring,
     spec_size,
 )

@@ -21,7 +21,7 @@ from .graphs import Graph, Partition, build_zero_divisor_graph, gcd_class_partit
 from .orbits import aut_orbits
 from .rings import DEFAULT_CAP, ZnRing, make_ring
 from .ringexpr import _factor_prime_power, parse_ring_spec, render_ring_spec
-from .spectral import char_poly, equitable_quotient_matrix
+from .spectral import char_poly, equitable_quotient_matrix, lift_twin_char_poly
 from .threshold import (
     CreationSequence,
     build_threshold_from_code,
@@ -139,7 +139,7 @@ def cmd_spectra(args) -> int:
     part = _partition_for(g, ring, method, args.code)
     qm = equitable_quotient_matrix(g, part)
     qpoly = char_poly(qm)
-    fpoly = char_poly(g)
+    fpoly = lift_twin_char_poly(qm, qpoly) if method == "twin" else char_poly(g)
     data = {
         "n": g.n,
         "partition": part.to_json_dict(),

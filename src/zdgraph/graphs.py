@@ -18,7 +18,7 @@ import numpy as np
 from ._util import DSU, iter_bits, mask_from
 from .errors import SizeCapExceeded, WrongRingKind, ZdgError
 from .ringexpr import render_ring_spec
-from .rings import DEFAULT_CAP, Ring, ZnRing, annihilator_keys, euler_phi
+from .rings import DEFAULT_CAP, ProductRing, Ring, ZnRing, annihilator_keys, euler_phi
 
 
 class Graph:
@@ -196,6 +196,13 @@ def make_partition(blocks, kind: str, n: int) -> Partition:
     return Partition(tuple(ordered), kind, n)
 
 
+def _row_ints(bits: np.ndarray) -> list[int]:
+    """Each row of a boolean matrix as an int whose bit j is column j."""
+    packed = np.packbits(bits, axis=1, bitorder="little")
+    buf, width = packed.tobytes(), packed.shape[1]
+    return [int.from_bytes(buf[at:at + width], "little") for at in range(0, len(buf), width)]
+
+
 @dataclass(frozen=True)
 class ClassSkeleton:
     """A graph as the generalized join of k classes of mutual twins.
@@ -229,8 +236,7 @@ class ClassSkeleton:
             raw = b"".join(rows[m[0]].to_bytes(nbytes, "little") for m in block)
             bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8).reshape(len(block), nbytes),
                                  axis=1, bitorder="little")
-            packed = np.packbits(bits[:, reps], axis=1, bitorder="little")
-            join.extend(int.from_bytes(r.tobytes(), "little") for r in packed)
+            join += _row_ints(bits[:, reps])
         return cls(members, clique, tuple(join))
 
     @cached_property
@@ -286,63 +292,82 @@ def build_zero_divisor_graph(ring: Ring, cap: int = DEFAULT_CAP) -> Graph:
     """Graph on all ring elements; distinct x, y adjacent iff x*y = 0.
 
     Elements are first grouped by annihilator key; adjacency is then decided
-    once per pair of groups from representative products, which both avoids
-    the quadratic multiplication sweep and lets equal-neighborhood vertices
-    share one row object.
+    once per pair of groups from representative products (per factor in a
+    product ring), which both avoids the quadratic multiplication sweep and
+    lets equal-neighborhood vertices share one row object.
     """
     n = ring.size
     if n > cap:
         raise SizeCapExceeded.over("graph", math.log10(n), cap)
-    keys = annihilator_keys(ring)
-    class_of = [0] * n
-    members: list[list[int]] = []
-    index: dict = {}
-    for x in range(n):
-        cid = index.get(keys[x])
-        if cid is None:
-            cid = len(members)
-            index[keys[x]] = cid
-            members.append([])
-        class_of[x] = cid
-        members[cid].append(x)
-    k = len(members)
-    reps = [m[0] for m in members]
+    class_of, zero_product = _annihilator_classes(ring)
+    k = len(zero_product)
+    classes = class_of.tolist()
+    members: list[list[int]] = [[] for _ in range(k)]
+    for v, c in enumerate(classes):
+        members[c].append(v)
+    clique = zero_product.diagonal().copy()
 
-    masks = []
-    for mem in members:
-        buf = bytearray(n // 8 + 1)
-        for v in mem:
-            buf[v >> 3] |= 1 << (v & 7)
-        masks.append(int.from_bytes(bytes(buf), "little"))
-
-    zero = ring.zero
-    clique = [ring.mul(r, r) == zero for r in reps]
+    # class rows over all vertices (own class included when a clique),
+    # packed a block of classes at a time
     base_rows = []
-    join = []
-    for ci in range(k):
-        row = masks[ci] if clique[ci] else 0
-        ri = reps[ci]
-        joined = 0
-        for cj in range(k):
-            if cj != ci and ring.mul(ri, reps[cj]) == zero:
-                row |= masks[cj]
-                joined |= 1 << cj
-        base_rows.append(row)
-        join.append(joined)
+    block = max(1, (1 << 24) // n)
+    for start in range(0, k, block):
+        base_rows += _row_ints(np.take(zero_product[start:start + block], class_of, axis=1))
+    rows = [base_rows[c] for c in classes]
+    for c in np.flatnonzero(clique).tolist():
+        for v in members[c]:
+            rows[v] ^= 1 << v
 
-    rows = [0] * n
-    for ci in range(k):
-        base = base_rows[ci]
-        if clique[ci]:
-            for v in members[ci]:
-                rows[v] = base ^ (1 << v)
-        else:
-            for v in members[ci]:
-                rows[v] = base
+    np.fill_diagonal(zero_product, False)
+    join = tuple(_row_ints(zero_product))
     labels = [ring.label(i) for i in range(n)]
     g = Graph(n, rows, labels, provenance=render_ring_spec(ring.spec))
-    g._skeleton = ClassSkeleton(tuple(map(tuple, members)), tuple(clique), tuple(join))
+    g._skeleton = ClassSkeleton(tuple(map(tuple, members)), tuple(clique.tolist()), join)
     return g
+
+
+def _annihilator_classes(ring: Ring) -> tuple[np.ndarray, np.ndarray]:
+    """The annihilator class of every element, classes numbered by least
+    member, and the k x k table of whether two classes multiply to zero.
+
+    In a product ann(x_1, ..., x_m) = ann(x_1) x ... x ann(x_m): a class is
+    a tuple of factor classes, and two classes multiply to zero exactly when
+    they do in every factor.  So keys and tables come per factor, from one
+    representative product per pair of factor classes, and are combined
+    with numpy.
+    """
+    factors = ring.factors if isinstance(ring, ProductRing) else [ring]
+    tables = []
+    for f in factors:
+        label, reps, index = [], [], {}
+        for x, key in enumerate(annihilator_keys(f)):
+            c = index.setdefault(key, len(reps))
+            if c == len(reps):
+                reps.append(x)
+            label.append(c)
+        table = np.array([[f.mul(a, b) == f.zero for b in reps] for a in reps], dtype=bool)
+        tables.append((np.array(label, dtype=np.int64), table))
+    if len(tables) == 1:
+        return tables[0]
+    elements = np.arange(ring.size, dtype=np.int64)
+    codes = np.zeros(ring.size, dtype=np.int64)
+    stride = width = 1
+    for f, (label, table) in zip(factors, tables):
+        codes += label[elements // stride % f.size] * width
+        stride *= f.size
+        width *= len(table)
+    codes, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
+    by_least = np.argsort(first)
+    rank = np.empty_like(by_least)
+    rank[by_least] = np.arange(len(by_least))
+    codes = codes[by_least]
+    zero_product = np.ones((len(codes), len(codes)), dtype=bool)
+    width = 1
+    for _, table in tables:
+        cls = codes // width % len(table)
+        zero_product &= table.take(cls, axis=0).take(cls, axis=1)
+        width *= len(table)
+    return rank[inverse.reshape(-1)], zero_product
 
 
 def gcd_class_partition(ring: Ring) -> Partition:

@@ -8,8 +8,12 @@ those coordinates, which the annihilator-key machinery relies on.
 
 from __future__ import annotations
 
+import itertools
 import math
+import random
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import CompositePrimeError, NonMonicModulus, SizeCapExceeded, ZdgError
 from ._util import hermite_normal_form
@@ -269,7 +273,15 @@ def _poly_label(coeffs, symbols) -> str:
 # ---------------------------------------------------------------------------
 
 class Ring:
-    """Common interface: mixed-radix index codec plus add/neg/mul."""
+    """Common interface: mixed-radix index codec plus add/neg/mul.
+
+    Codec invariant, which ``annihilator_keys`` relies on: the index of the
+    element with coordinates (c_1, ..., c_t) is the little-endian mixed-radix
+    number c_1 + m_1*(c_2 + m_2*(c_3 + ...)) over ``coord_moduli``
+    (m_1, ..., m_t), with 0 <= c_j < m_j, and addition is componentwise
+    mod m_j.  A product's coordinates are its factors' in order, the first
+    factor's lowest.
+    """
 
     spec: RingSpec
     size: int
@@ -599,58 +611,6 @@ def make_ring(spec: RingSpec, cap: int = DEFAULT_CAP) -> Ring:
 
 
 # ---------------------------------------------------------------------------
-# Element classification
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ElementClass:
-    index: int
-    is_zero: bool
-    is_unit: bool
-    is_nilpotent: bool
-    is_zero_divisor: bool
-    gcd_with_n: int | None = None
-
-
-def is_nilpotent(ring: Ring, a: int) -> bool:
-    """Repeated squaring with cycle detection; exact, O(log size) squarings."""
-    x = a
-    seen = set()
-    while x not in seen:
-        seen.add(x)
-        x = ring.mul(x, x)
-        if x == 0:
-            return True
-    return False
-
-
-def classify_element(ring: Ring, a: int) -> ElementClass:
-    unit = any(ring.mul(a, b) == ring.one for b in range(ring.size))
-    zd = a == 0 or any(b != 0 and ring.mul(a, b) == 0 for b in range(ring.size))
-    gcd_n = math.gcd(a, ring.size) if isinstance(ring, ZnRing) else None
-    return ElementClass(
-        index=a,
-        is_zero=a == 0,
-        is_unit=unit,
-        is_nilpotent=is_nilpotent(ring, a),
-        is_zero_divisor=zd,
-        gcd_with_n=gcd_n,
-    )
-
-
-def is_reduced(ring: Ring) -> bool:
-    return not any(is_nilpotent(ring, a) for a in range(1, ring.size))
-
-
-def is_field(ring: Ring) -> bool:
-    one = ring.one
-    return all(
-        any(ring.mul(a, b) == one for b in range(ring.size))
-        for a in range(1, ring.size)
-    )
-
-
-# ---------------------------------------------------------------------------
 # Annihilator classes
 # ---------------------------------------------------------------------------
 
@@ -661,23 +621,105 @@ def annihilator_keys(ring: Ring) -> list:
     out by the congruences sum_i c_i * coord_j(x*e_i) = 0 (mod m_j).  Those
     congruences depend only on the integer row lattice spanned by the scaled
     coefficient rows together with M*I (M = lcm of the moduli), so the
-    Hermite normal form of that lattice is a sound grouping key.  Keys may
-    split finer than exact annihilator classes; they never merge distinct
-    annihilators.
+    Hermite normal form (HNF) of that lattice is a sound grouping key.
+    Keys may split finer than exact annihilator classes; they never merge
+    distinct annihilators.
+
+    Cost, by kind of ring:
+
+    * one coordinate (``Z/n``, ``GF(p)``): gcd(x, n), no HNF;
+    * products: ann(x_1, ..., x_m) = ann(x_1) x ... x ann(x_m), so the key
+      of an element is the tuple of its factors' keys (last factor first),
+      each computed once per factor element: sum |R_i| keys, not prod |R_i|;
+    * every other ring: one HNF per orbit of the group that a few units
+      generate under multiplication, plus numpy work linear in the size.
+
+    Orbits are sound because multiplying by a unit u maps the rows of x to
+    the rows of ux by an integer matrix that is invertible mod M (that of
+    u^-1 maps them back), so x and ux span the same lattice and get the
+    same HNF.  Orbits finer than the associate classes cost extra HNFs,
+    never a different key.  The maps x -> ux are read off the mixed-radix
+    codec (see ``Ring``) from t products, and u counts as a unit only when
+    its map is a bijection.
     """
+    if isinstance(ring, ProductRing):
+        parts = [annihilator_keys(f) for f in ring.factors]
+        # the first factor's index varies fastest, as in itertools.product's last
+        return list(itertools.product(*reversed(parts)))
     mods = ring.coord_moduli
-    t = len(mods)
     M = math.lcm(*mods)
     gens = ring.generator_indices()
-    if t == 1:
-        return [(math.gcd(ring.decode(ring.mul(x, gens[0]))[0], M),) for x in range(ring.size)]
-    scales = [M // m for m in mods]
-    m_rows = [[M if i == j else 0 for i in range(t)] for j in range(t)]
-    keys = []
-    decode = ring.decode
-    mul = ring.mul
-    for x in range(ring.size):
-        cols = [decode(mul(x, g)) for g in gens]
-        rows = [[scales[j] * cols[i][j] for i in range(t)] for j in range(t)]
-        keys.append(hermite_normal_form(rows + m_rows, t))
-    return keys
+    if len(mods) == 1:
+        # x*e_1 has coordinate x * coord(e_1*e_1), multiplication being bilinear
+        b = ring.decode(ring.mul(gens[0], gens[0]))[0]
+        return [(g,) for g in np.gcd(np.arange(ring.size, dtype=np.int64) * b % M, M).tolist()]
+    reps = _unit_orbit_reps(ring)
+    key_of = {x: _hnf_key(ring, x, gens, M) for x in np.unique(reps).tolist()}
+    return [key_of[x] for x in reps.tolist()]
+
+
+def _hnf_key(ring: Ring, x: int, gens: list[int], M: int) -> tuple:
+    mods = ring.coord_moduli
+    t = len(mods)
+    cols = [ring.decode(ring.mul(x, g)) for g in gens]
+    rows = [[M // mods[j] * cols[i][j] for i in range(t)] for j in range(t)]
+    rows += [[M if i == j else 0 for i in range(t)] for j in range(t)]
+    return hermite_normal_form(rows, t)
+
+
+def _element_coords(ring: Ring) -> tuple[np.ndarray, np.ndarray]:
+    """The coordinates of every element (one row per index) and the radix
+    weights that encode a coordinate row back to its index."""
+    mods = np.array(ring.coord_moduli, dtype=np.int64)
+    radix = np.cumprod(np.concatenate(([1], mods[:-1])))
+    return np.arange(ring.size, dtype=np.int64)[:, None] // radix % mods, radix
+
+
+def _multiplication_map(ring: Ring, coords: np.ndarray, radix: np.ndarray, u: int) -> np.ndarray:
+    """Index of u*x for every index x.
+
+    x is the integer combination sum_l c_l e_l of its coordinates and
+    multiplication distributes over it, so the coordinates of u*x are
+    coords @ B mod m, where row l of B holds the coordinates of u*e_l.
+    Entries stay below t * m^2, far inside int64 for any ring small enough
+    to list its elements.
+    """
+    mods = np.array(ring.coord_moduli, dtype=np.int64)
+    b = np.array([ring.decode(ring.mul(u, e)) for e in ring.generator_indices()], dtype=np.int64)
+    return (coords @ b % mods) @ radix
+
+
+# Units are drawn from a seeded generator so that the number of HNFs, and
+# with it the time, repeats from run to run; the keys do not depend on it.
+_UNITS = 3
+_UNIT_DRAWS = 16
+
+
+def _unit_orbit_reps(ring: Ring) -> np.ndarray:
+    """For every element, the least element of its orbit under the group
+    generated by a few units (each element alone if none is drawn)."""
+    n = ring.size
+    coords, radix = _element_coords(ring)
+    rng = random.Random(n)
+    perms = []
+    for _ in range(_UNIT_DRAWS):
+        perm = _multiplication_map(ring, coords, radix, rng.randrange(1, n))
+        hit = np.zeros(n, dtype=bool)
+        hit[perm] = True
+        if hit.all():
+            perms.append(perm)
+            if len(perms) == _UNITS:
+                break
+    # minimum along each cycle by pointer doubling, until no generator moves it
+    rep = np.arange(n, dtype=np.int64)
+    rounds = max(1, (n - 1).bit_length())
+    changed = bool(perms)
+    while changed:
+        before = rep
+        for perm in perms:
+            step = perm
+            for _ in range(rounds):
+                rep = np.minimum(rep, rep[step])
+                step = step[step]
+        changed = not np.array_equal(rep, before)
+    return rep

@@ -293,25 +293,26 @@ def _charpoly_crt(rows: list[list[int]]) -> list[int]:
     return list(reversed(lifted))  # to descending
 
 
-def _graph_char_poly(g: Graph) -> IntPolynomial:
-    """charpoly of the twin quotient times (x+1)^(s-1) per clique class of
-    size s and x^(s-1) per independent class.
+def lift_twin_char_poly(qm: QuotientMatrix, qpoly: IntPolynomial) -> IntPolynomial:
+    """The graph's charpoly from ``qpoly``, the charpoly of its twin quotient
+    ``qm``: times (x+1)^(s-1) per clique class of size s and x^(s-1) per
+    independent class.
 
     Within a twin class, e_u - e_v is an eigenvector for -1 (clique) or 0
     (independent); the quotient carries the rest of the spectrum.  Cardoso,
     de Freitas, Martins & Robbiano, Discrete Math. 313 (2013).
     """
-    qm = equitable_quotient_matrix(g, twin_partition(g))
     ones = sum(s - 1 for s, kind in zip(qm.part_sizes, qm.part_kinds) if kind == "clique")
-    zeros = g.n - qm.size - ones
-    poly = char_poly(qm) * IntPolynomial(tuple(math.comb(ones, i) for i in range(ones + 1)))
+    zeros = sum(qm.part_sizes) - qm.size - ones
+    poly = qpoly * IntPolynomial(tuple(math.comb(ones, i) for i in range(ones + 1)))
     return IntPolynomial(poly.coeffs + (0,) * zeros)
 
 
 def char_poly(m) -> IntPolynomial:
     """Exact det(xI - M) for an integer matrix, quotient matrix, or graph."""
     if isinstance(m, Graph):
-        return _graph_char_poly(m)
+        qm = equitable_quotient_matrix(m, twin_partition(m))
+        return lift_twin_char_poly(qm, char_poly(qm))
     rows = _as_int_rows(m)
     n = len(rows)
     if any(len(r) != n for r in rows):

@@ -1,4 +1,6 @@
+import math
 import random
+from dataclasses import dataclass
 
 import pytest
 
@@ -12,6 +14,55 @@ def brute_zero_divisor_graph(ring) -> Graph:
     edges = [(a, b) for a in range(n) for b in range(a + 1, n) if ring.mul(a, b) == 0]
     g = Graph.from_edges(n, edges, [ring.label(i) for i in range(n)])
     return g
+
+
+@dataclass(frozen=True)
+class ElementClass:
+    index: int
+    is_zero: bool
+    is_unit: bool
+    is_nilpotent: bool
+    is_zero_divisor: bool
+    gcd_with_n: int | None = None
+
+
+def is_nilpotent(ring, a: int) -> bool:
+    """Repeated squaring with cycle detection; exact, O(log size) squarings."""
+    x = a
+    seen = set()
+    while x not in seen:
+        seen.add(x)
+        x = ring.mul(x, x)
+        if x == 0:
+            return True
+    return False
+
+
+def classify_element(ring, a: int) -> ElementClass:
+    """Unit, nilpotent and zero-divisor status of ``a`` by O(n) search."""
+    unit = any(ring.mul(a, b) == ring.one for b in range(ring.size))
+    zd = a == 0 or any(b != 0 and ring.mul(a, b) == 0 for b in range(ring.size))
+    gcd_n = math.gcd(a, ring.size) if isinstance(ring, R.ZnRing) else None
+    return ElementClass(
+        index=a,
+        is_zero=a == 0,
+        is_unit=unit,
+        is_nilpotent=is_nilpotent(ring, a),
+        is_zero_divisor=zd,
+        gcd_with_n=gcd_n,
+    )
+
+
+def is_reduced(ring) -> bool:
+    return not any(is_nilpotent(ring, a) for a in range(1, ring.size))
+
+
+def is_field(ring) -> bool:
+    one = ring.one
+    return all(
+        any(ring.mul(a, b) == one for b in range(ring.size))
+        for a in range(1, ring.size)
+    )
 
 
 def random_graph(rng: random.Random, n: int, density: float | None = None) -> Graph:

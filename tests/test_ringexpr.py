@@ -1,10 +1,11 @@
 import math
 import random
+import time
 
 import pytest
 
 from zdgraph import rings as R
-from zdgraph.errors import RingSemanticError, RingSyntaxError
+from zdgraph.errors import RingSemanticError, RingSyntaxError, ZdgError
 from zdgraph.ringexpr import _factor_prime_power, parse_ring_spec, render_ring_spec
 
 
@@ -126,15 +127,49 @@ def test_syntax_errors_carry_positions():
         assert info.value.expected
 
 
+def _grammar_text(rng: random.Random) -> str:
+    """A ring expression from the grammar's shapes with random numbers,
+    then maybe one character deleted, inserted or replaced."""
+    def num() -> str:
+        return str(rng.choice((0, 1, 2, 3, 4, 6, 9, 16, 27, 97, 101, 1000, 65537,
+                               rng.randrange(10 ** 12), 10 ** 24 - 1)))
+
+    def atom() -> str:
+        return rng.choice((
+            f"Z/{num()}", f"GF({num()})", f"FamA({num()},{num()})", f"FamB({num()})",
+            f"FamC({num()})", f"FamD({num()})",
+            f"Z/{num()}[x]/(x^{num()}+{num()}x-{num()})", f"Z/{num()}[x]/(x^{num()})",
+        ))
+
+    text = " x ".join(atom() for _ in range(rng.choice((1, 1, 2, 3))))
+    if text and rng.random() < 0.5:
+        at = rng.randrange(len(text))
+        text = text[:at] + rng.choice(("", chr(rng.randrange(32, 127)))) + text[at + rng.randrange(2):]
+    return text
+
+
 def test_fuzz_never_crashes():
+    """Printable noise and mutated grammar shapes: parsing raises only syntax or
+    semantic errors, building what parses raises only ZdgError subclasses,
+    and all of it stays within a time bound."""
     rng = random.Random(99)
-    for _ in range(5000):
-        length = rng.randrange(0, 30)
-        text = "".join(chr(rng.randrange(32, 127)) for _ in range(length))
+    texts = ["".join(chr(rng.randrange(32, 127)) for _ in range(rng.randrange(0, 30)))
+             for _ in range(5000)]
+    texts += [_grammar_text(rng) for _ in range(5000)]
+    start = time.perf_counter()
+    built = 0
+    for text in texts:
         try:
-            parse_ring_spec(text)
+            spec = parse_ring_spec(text)
         except (RingSyntaxError, RingSemanticError):
+            continue
+        try:
+            R.make_ring(spec)
+            built += 1
+        except ZdgError:
             pass
+    assert built > 50
+    assert time.perf_counter() - start < 5
 
 
 def test_grammar_bounds_on_exponents_and_numbers():

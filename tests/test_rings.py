@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from conftest import classify_element, is_field, is_nilpotent, is_reduced
 from zdgraph import rings as R
 from zdgraph.errors import CompositePrimeError, NonMonicModulus, SizeCapExceeded
 
@@ -73,13 +74,13 @@ def test_famd_square_of_x_is_p():
 
 def test_classify_element():
     r27 = R.make_ring(R.Zn(27))
-    c3 = R.classify_element(r27, 3)
+    c3 = classify_element(r27, 3)
     assert c3.is_nilpotent and c3.is_zero_divisor and not c3.is_unit
-    assert R.classify_element(r27, 2).is_unit
+    assert classify_element(r27, 2).is_unit
     z6 = R.make_ring(R.Zn(6))
-    c2 = R.classify_element(z6, 2)
+    c2 = classify_element(z6, 2)
     assert c2.is_zero_divisor and not c2.is_nilpotent and not c2.is_unit
-    c0 = R.classify_element(z6, 0)
+    c0 = classify_element(z6, 0)
     assert c0.is_zero and c0.is_zero_divisor and c0.is_nilpotent
 
 
@@ -88,14 +89,14 @@ def test_unit_xor_zero_divisor(small_rings):
         if ring.size > 128:
             continue
         for a in range(ring.size):
-            cls = R.classify_element(ring, a)
+            cls = classify_element(ring, a)
             assert cls.is_unit != cls.is_zero_divisor, (spec, a)
 
 
 def test_zn_gcd_and_units():
     ring = R.make_ring(R.Zn(36))
     for a in range(36):
-        cls = R.classify_element(ring, a)
+        cls = classify_element(ring, a)
         assert cls.gcd_with_n == math.gcd(a, 36)
         assert cls.is_unit == (math.gcd(a, 36) == 1)
 
@@ -128,18 +129,18 @@ def test_is_prime_matches_trial_division_and_rejects_strong_pseudoprimes():
 
 
 def test_reduced_and_field():
-    assert R.is_reduced(R.make_ring(R.Zn(6)))
-    assert not R.is_field(R.make_ring(R.Zn(6)))
-    assert R.is_field(R.make_ring(R.GF(3, 2)))
-    assert not R.is_reduced(R.make_ring(R.FamA(2, 3)))
-    assert R.is_reduced(R.make_ring(R.Product((R.GF(2), R.GF(3)))))
-    assert not R.is_reduced(R.make_ring(R.Product((R.Zn(4), R.GF(3)))))
+    assert is_reduced(R.make_ring(R.Zn(6)))
+    assert not is_field(R.make_ring(R.Zn(6)))
+    assert is_field(R.make_ring(R.GF(3, 2)))
+    assert not is_reduced(R.make_ring(R.FamA(2, 3)))
+    assert is_reduced(R.make_ring(R.Product((R.GF(2), R.GF(3)))))
+    assert not is_reduced(R.make_ring(R.Product((R.Zn(4), R.GF(3)))))
 
 
 def test_reduced_iff_no_nonzero_nilpotent(small_rings):
     for spec, ring in small_rings:
-        expected = not any(R.is_nilpotent(ring, a) for a in range(1, ring.size))
-        assert R.is_reduced(ring) == expected, spec
+        expected = not any(is_nilpotent(ring, a) for a in range(1, ring.size))
+        assert is_reduced(ring) == expected, spec
 
 
 @pytest.mark.parametrize("p,k", [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (5, 1), (7, 1), (13, 1)])
