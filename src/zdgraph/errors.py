@@ -10,7 +10,8 @@ class CompositePrimeError(ZdgError):
 
 
 class SizeCapExceeded(ZdgError):
-    """A ring or graph would exceed the configured element cap."""
+    """A ring or graph would exceed a configured cap on its elements or its
+    annihilator classes."""
 
     @classmethod
     def over(cls, what: str, log10_size: float, cap: int) -> "SizeCapExceeded":

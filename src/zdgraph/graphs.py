@@ -20,6 +20,10 @@ from .errors import SizeCapExceeded, WrongRingKind, ZdgError
 from .ringexpr import render_ring_spec
 from .rings import DEFAULT_CAP, ProductRing, Ring, ZnRing, annihilator_keys, euler_phi
 
+# classes of a product ring: its class-pair table and each temporary that
+# combines it take k^2 bytes, 64 MiB at the cap
+CLASS_CAP = 8192
+
 
 class Graph:
     """Undirected simple graph; ``rows[v]`` is the neighbor bitmask of v."""
@@ -357,6 +361,8 @@ def _annihilator_classes(ring: Ring) -> tuple[np.ndarray, np.ndarray]:
         stride *= f.size
         width *= len(table)
     codes, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
+    if len(codes) > CLASS_CAP:
+        raise SizeCapExceeded(f"graph has {len(codes)} annihilator classes, more than the cap of {CLASS_CAP}")
     by_least = np.argsort(first)
     rank = np.empty_like(by_least)
     rank[by_least] = np.arange(len(by_least))

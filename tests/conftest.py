@@ -5,7 +5,7 @@ from dataclasses import dataclass
 import pytest
 
 from zdgraph import rings as R
-from zdgraph.graphs import Graph
+from zdgraph.graphs import Graph, Partition
 
 
 def brute_zero_divisor_graph(ring) -> Graph:
@@ -63,6 +63,96 @@ def is_field(ring) -> bool:
         any(ring.mul(a, b) == one for b in range(ring.size))
         for a in range(1, ring.size)
     )
+
+
+def _signature_refinement(adj: list[list[int]], colors: list[int]) -> list[int]:
+    """Iterate (color, sorted neighbor colors) signatures to a stable coloring."""
+    while True:
+        sigs = [(colors[v], tuple(sorted(colors[u] for u in adj[v]))) for v in range(len(adj))]
+        order = {sig: i for i, sig in enumerate(sorted(set(sigs)))}
+        new = [order[sig] for sig in sigs]
+        if new == colors:
+            return colors
+        colors = new
+
+
+def _backtrack_mapping(rows: list[int], colors: list[int], source: int, target: int):
+    """Exhaustive backtracking for a color-preserving automorphism with
+    source -> target, checking each new pair against every placed vertex;
+    None is a proof of absence."""
+    n = len(rows)
+    order = sorted(range(n), key=lambda v: (v != source, colors[v], v))
+    mapping = [-1] * n
+    used = [False] * n
+    by_color: dict[int, list[int]] = {}
+    for v in range(n):
+        by_color.setdefault(colors[v], []).append(v)
+
+    def extend(depth: int) -> bool:
+        if depth == n:
+            return True
+        v = order[depth]
+        for u in [target] if v == source else by_color[colors[v]]:
+            if used[u] or any((rows[v] >> w & 1) != (rows[u] >> mapping[w] & 1)
+                              for w in order[:depth]):
+                continue
+            mapping[v] = u
+            used[u] = True
+            if extend(depth + 1):
+                return True
+            used[u] = False
+            mapping[v] = -1
+        return False
+
+    return mapping if extend(0) else None
+
+
+def backtrack_orbits(g: Graph) -> Partition:
+    """Automorphism orbits by plain backtracking on the raw rows, with no
+    twin compression and no refinement after a vertex is fixed: the
+    reference for ``aut_orbits`` on graphs of up to about 60 vertices."""
+    n = g.n
+    adj = [[u for u in range(n) if row >> u & 1] for row in g.rows]
+    colors = _signature_refinement(adj, [0] * n)
+    orbit = list(range(n))  # orbit[v]: least vertex known to share v's orbit
+
+    def merge(a: int, b: int) -> None:
+        old, new = max(orbit[a], orbit[b]), min(orbit[a], orbit[b])
+        for v in range(n):
+            if orbit[v] == old:
+                orbit[v] = new
+
+    for color in sorted(set(colors)):
+        pending = [v for v in range(n) if colors[v] == color]
+        while pending:
+            base = pending[0]
+            for u in pending[1:]:
+                if orbit[u] != orbit[base]:
+                    mapping = _backtrack_mapping(g.rows, colors, base, u)
+                    for v, w in enumerate(mapping or ()):
+                        if orbit[v] != orbit[w]:
+                            merge(v, w)
+            pending = [u for u in pending[1:] if orbit[u] != orbit[base]]
+    groups: dict[int, list[int]] = {}
+    for v in range(n):
+        groups.setdefault(orbit[v], []).append(v)
+    blocks = [(f"O{i}", tuple(b)) for i, b in enumerate(sorted(groups.values()))]
+    return Partition(tuple(blocks), "aut", n)
+
+
+def twin_blow_up(rng: random.Random, skeleton: Graph, n: int) -> Graph:
+    """A graph of n vertices with the given skeleton as its twin quotient,
+    up to merges: every vertex joins a skeleton vertex's class (each class
+    non-empty when n allows), each class is a clique or independent at
+    random, and the vertices are shuffled."""
+    k = skeleton.n
+    owner = list(range(min(k, n))) + [rng.randrange(k) for _ in range(n - k)]
+    rng.shuffle(owner)
+    clique = [rng.random() < 0.5 for _ in range(k)]
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n)
+             if (owner[u] == owner[v] and clique[owner[u]])
+             or (owner[u] != owner[v] and skeleton.adjacent(owner[u], owner[v]))]
+    return Graph.from_edges(n, edges)
 
 
 def random_graph(rng: random.Random, n: int, density: float | None = None) -> Graph:

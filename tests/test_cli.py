@@ -218,3 +218,22 @@ def test_large_ring_queries_finish_fast(capsys):
         start = time.perf_counter()
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0 and out and time.perf_counter() - start < seconds, argv
+
+
+def test_symmetric_products_orbits_finish_fast(capsys):
+    """Twin quotients whose refined cells hold many classes: the orbit
+    search refines after every vertex it fixes."""
+    for ring in ("Z/2 x Z/2 x Z/2 x Z/2 x Z/2", " x ".join(["Z/2"] * 8),
+                 "Z/2 x Z/4[x]/(x^2) x Z/4[x]/(x^2)", "Z/4 x Z/8 x Z/4[x]/(x^2) x Z/4[x]/(x^2)"):
+        start = time.perf_counter()
+        code, out, _ = run_cli(capsys, "orbits", ring)
+        assert code == 0 and out and time.perf_counter() - start < 2, ring
+
+
+def test_products_of_too_many_classes_fail_fast(capsys):
+    """The class-pair table is k x k, so k is bounded before it is built."""
+    for copies in (14, 16):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "threshold", " x ".join(["Z/2"] * copies))
+        assert code == 2 and out == "" and time.perf_counter() - start < 2, copies
+        assert err.startswith("error: ") and err.count("\n") == 1, err

@@ -1,8 +1,10 @@
 """SHA-256 digests of the CLI's stdout on a fixed set of inputs.
 
 The digests were recorded before twins, quotients, orbits and threshold
-recognition moved onto the class skeleton, so a drift in any tie-break
-(block order, labels, witness choice, creation sequence) fails here.
+recognition moved onto the class skeleton, and those of the five products
+that end OTHER_RINGS before the orbit search moved to
+individualization-refinement, so a drift in any tie-break (block order,
+labels, witness choice, creation sequence) fails here.
 Each input's digest covers every command run on it, exit codes included.
 """
 
@@ -18,6 +20,10 @@ OTHER_RINGS = [
     "GF(8)", "GF(9)", "Z/4[x]/(x^2)", "Z/9[x]/(x^2+x+3)", "FamA(2,3)", "FamA(3,1)",
     "FamB(3)", "FamC(2)", "FamD(3)", "Z/2 x GF(3)", "Z/4 x Z/4", "GF(3) x GF(3)",
     "Z/4 x Z/9", "Z/2 x Z/2 x Z/2", "Z/8 x GF(4)",
+    # products whose twin quotients keep non-singleton cells after colour
+    # refinement, so the orbit search branches
+    "Z/2 x Z/2 x Z/2 x Z/2", "Z/8 x Z/8 x Z/8", "Z/4 x Z/4 x Z/4[x]/(x^2)",
+    "Z/3 x Z/4[x]/(x^2) x Z/4[x]/(x^2)", "Z/2 x Z/4[x]/(x^2) x Z/4[x]/(x^2)",
 ]
 CODE = "0000111001"
 
@@ -88,6 +94,11 @@ GOLDEN = {
     "Z/4 x Z/9": "8c19e32a050643beb5bee7f609ef7db37a2784d8dd6c2a5ade8f442b96d0242f",
     "Z/2 x Z/2 x Z/2": "571ebb74171af16dfbc483292ba891c181bf206cb6a5d37f00e766eb29b4731b",
     "Z/8 x GF(4)": "1b4fcf6e76153844cf585bf0b52d423fc4310115fa926dd33dbfa8739e2b86bb",
+    "Z/2 x Z/2 x Z/2 x Z/2": "f4a02262be74d9868599fce8b692da6c97a524269e8a7c16570b4ae6b67b73c8",
+    "Z/8 x Z/8 x Z/8": "106b3efe901c357d18be00aa4ae0f829f06de65a491b74a983a2aaae3a19ce63",
+    "Z/4 x Z/4 x Z/4[x]/(x^2)": "ebf6c1c00151978d1d899f69a1c9dab87847ed8b0c9267ac35d07ab6507db687",
+    "Z/3 x Z/4[x]/(x^2) x Z/4[x]/(x^2)": "c0dd431fe442a28fc52318949d2a8db8060d8220f020a074e29818411c0b1d56",
+    "Z/2 x Z/4[x]/(x^2) x Z/4[x]/(x^2)": "cf3462816a5b4c83f74f908bc7bf9a4826010ea0fbe6ec12be9ef6f6c7bdd923",
     "--code": "7c7afacb08947d5c1e2a35a4917350a5d9931e1c45e5c433dadd5c8afb35578f",
     "--graph-file": "59b286d2c33e3a170a3ebb3c7b3355efb413691125b067cc2f1e83b08c74e03c",
 }
