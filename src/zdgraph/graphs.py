@@ -28,7 +28,7 @@ CLASS_CAP = 8192
 class Graph:
     """Undirected simple graph; ``rows[v]`` is the neighbor bitmask of v."""
 
-    __slots__ = ("n", "rows", "labels", "provenance", "_skeleton")
+    __slots__ = ("n", "rows", "labels", "provenance", "_skeleton", "_charpoly")
 
     def __init__(self, n: int, rows: list[int], labels: list[str] | None = None,
                  provenance: str | None = None):
@@ -37,6 +37,7 @@ class Graph:
         self.labels = labels if labels is not None else [str(i) for i in range(n)]
         self.provenance = provenance
         self._skeleton = None
+        self._charpoly = None  # filled by spectral.char_poly on first use
 
     def skeleton(self) -> "ClassSkeleton":
         """The class skeleton: the builder's for ring graphs, else the twin

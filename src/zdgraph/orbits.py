@@ -5,9 +5,9 @@ One search, ``_find_isomorphism``, answers both questions (McKay & Piperno,
 two refined colourings, it proves absence when their refinement traces or
 colour histograms differ; otherwise it fixes the first vertex of the first
 cell of several vertices against each vertex of that colour on the other
-side, refines both sides again and recurses.  A discrete leaf is accepted
-only after an edge-by-edge check, so every map it returns is a validated
-witness."""
+side, refines both sides again and goes one level deeper, on an explicit
+stack.  A discrete leaf is accepted only after an edge-by-edge check, so
+every map it returns is a validated witness."""
 
 from __future__ import annotations
 
@@ -86,21 +86,31 @@ def _find_isomorphism(adj1: list[list[int]], r1: tuple[list[int], list],
                       adj2: list[list[int]], r2: tuple[list[int], list]) -> list[int] | None:
     """A colour-preserving isomorphism from graph 1 to graph 2 as a vertex
     map, or None as a proof that none exists.  ``r1`` and ``r2`` are
-    ``color_refinement`` results; adjacency lists are ascending."""
-    (c1, t1), (c2, t2) = r1, r2
-    if t1 != t2 or sorted(c1) != sorted(c2):
-        return None
-    cells1, cells2 = _cells(c1), _cells(c2)
-    split = min((c for c, cell in cells1.items() if len(cell) > 1), default=None)
-    if split is None:
-        mapping = [cells2[c][0] for c in c1]
-        ok = all(sorted(mapping[u] for u in adj1[v]) == adj2[mapping[v]] for v in range(len(adj1)))
-        return mapping if ok else None
-    d1 = _individualized(adj1, c1, cells1[split][0])
-    for w in cells2[split]:
-        if (found := _find_isomorphism(adj1, d1, adj2, _individualized(adj2, c2, w))) is not None:
-            return found
-    return None
+    ``color_refinement`` results; adjacency lists are ascending.
+
+    The search is depth-first over an explicit stack, one frame per
+    individualized vertex: side 1's refinement after it, side 2's colouring
+    before it and the side-2 candidates not yet tried, so its depth is not
+    bounded by Python's recursion limit."""
+    stack = []
+    while True:
+        (c1, t1), (c2, t2) = r1, r2
+        if t1 == t2 and sorted(c1) == sorted(c2):
+            cells1, cells2 = _cells(c1), _cells(c2)
+            split = min((c for c, cell in cells1.items() if len(cell) > 1), default=None)
+            if split is None:
+                mapping = [cells2[c][0] for c in c1]
+                if all(sorted(mapping[u] for u in adj1[v]) == adj2[mapping[v]]
+                       for v in range(len(adj1))):
+                    return mapping
+            else:
+                stack.append((_individualized(adj1, c1, cells1[split][0]), c2, iter(cells2[split])))
+        while stack and (w := next(stack[-1][2], None)) is None:
+            stack.pop()
+        if not stack:
+            return None
+        r1, c2, _ = stack[-1]
+        r2 = _individualized(adj2, c2, w)
 
 
 def aut_orbits(g: Graph) -> Partition:

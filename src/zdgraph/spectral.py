@@ -1,9 +1,16 @@
 """Exact integer linear algebra: quotient matrices, characteristic polynomials,
 and eigenvalue multiplicities read off them.
 
-Everything here is arbitrary-precision integer arithmetic; the modular
-charpoly path reconstructs exact coefficients through CRT under a proven
-coefficient bound, so no result ever depends on floating point.
+Everything here is arbitrary-precision integer arithmetic; no result ever
+depends on floating point.  One kernel computes every charpoly: the matrix
+is reduced modulo all CRT primes at once into a stacked (P, n, n) array, and
+each Hessenberg step and each step of the leading-minor recurrence runs once
+for all primes, in chunks of primes of bounded size.  The primes' product
+exceeds twice a proven coefficient bound: |c_k| <= C(n,k) (s/n)^(k/2) for
+any s >= sum |lambda_i|^2, by Maclaurin's inequality and the power-mean
+inequality.  s is ||M||_F^2 (Schur) in general and tr(Q^2) for a quotient
+matrix, whose spectrum is real.  A graph's charpoly is kept on the graph,
+so its multiplicities of 0 and -1 read one polynomial.
 """
 
 from __future__ import annotations
@@ -201,55 +208,79 @@ def _as_int_rows(m) -> list[list[int]]:
     return [[int(x) for x in row] for row in m]
 
 
-def _charpoly_coeff_bound(rows: list[list[int]]) -> int:
-    """Bound max |c_k| via sums of k x k principal minors and Hadamard."""
+# residues stacked per chunk of primes: the chunk, its recurrence table and
+# one update temporary take a few MiB at any matrix order
+_CHUNK_ENTRIES = 1 << 18
+
+
+def _charpoly_coeff_bound(m, rows: list[list[int]]) -> int:
+    """A proven bound on every |c_k| of det(xI - M) = sum_k c_k x^(n-k).
+
+    With s >= sum |lambda_i|^2 over the eigenvalues,
+    |c_k| = |e_k(lambda)| <= e_k(|lambda|) <= C(n,k) (sum |lambda_i| / n)^k
+    <= C(n,k) (s/n)^(k/2), by Maclaurin's inequality and then the power-mean
+    inequality.  Any matrix has sum |lambda_i|^2 <= ||M||_F^2 (Schur).  A
+    quotient matrix Q with D Q symmetric, D the part sizes, is similar to the
+    symmetric D^(1/2) Q D^(-1/2), so its spectrum is real and
+    tr(Q^2) = sum lambda_i^2 exactly.
+    """
     n = len(rows)
-    col_norm2 = [sum(rows[i][j] * rows[i][j] for i in range(n)) for j in range(n)]
-    big = max(col_norm2, default=0)
-    bound = 1
-    for k in range(1, n + 1):
-        minor = math.isqrt(big ** k) + 1
-        bound = max(bound, math.comb(n, k) * minor)
-    return bound
+    q = np.array(rows, dtype=object)
+    s = int((q * q).sum())
+    if isinstance(m, QuotientMatrix):
+        dq = np.array(m.part_sizes, dtype=object)[:, None] * q
+        if (dq == dq.T).all():
+            s = int((q * q.T).sum())
+    # C(n,k) (s/n)^(k/2) = sqrt(C(n,k)^2 s^k / n^k) < isqrt(floor of that) + 1
+    return max(math.isqrt(math.comb(n, k) ** 2 * s ** k // n ** k) + 1 for k in range(n + 1))
 
 
-def _charpoly_mod(rows: np.ndarray, p: int) -> np.ndarray:
-    """charpoly mod prime p: Hessenberg similarity then the leading-minor recurrence."""
-    a = np.mod(rows, p).astype(np.int64)
-    n = a.shape[0]
+def _charpoly_mod(rows: np.ndarray, primes: np.ndarray) -> np.ndarray:
+    """charpoly of ``rows`` modulo each prime, as a (P, n+1) array of
+    ascending coefficients.
+
+    The residue matrices are stacked into one (P, n, n) array and every step
+    runs once for all primes: a Hessenberg similarity whose pivots are chosen
+    per prime, then the leading-minor recurrence
+    c_k = (x - h[k-1,k-1]) c_{k-1} - sum_i h[i,k-1] (h[i+1,i] ... h[k-1,k-2]) c_i,
+    whose subdiagonal products are one suffix vector updated once per k.
+    """
+    n = rows.shape[0]
+    p1, p2 = primes[:, None], primes[:, None, None]
+    a = np.mod(rows[None], p2).astype(np.int64)
     for j in range(n - 2):
-        col = a[j + 1:, j]
-        nz = np.nonzero(col)[0]
-        if nz.size == 0:
-            continue
-        piv = int(nz[0]) + j + 1
-        if piv != j + 1:
-            a[[j + 1, piv], :] = a[[piv, j + 1], :]
-            a[:, [j + 1, piv]] = a[:, [piv, j + 1]]
-        inv = pow(int(a[j + 1, j]), p - 2, p)
-        f = (a[j + 2:, j] * inv) % p
+        off = (a[:, j + 1:, j] != 0).argmax(axis=1)  # 0 also when the column is zero
+        swap = np.nonzero(off)[0]
+        if swap.size:
+            piv = off[swap] + j + 1
+            a[swap, j + 1], a[swap, piv] = a[swap, piv], a[swap, j + 1]
+            a[swap, :, j + 1], a[swap, :, piv] = a[swap, :, piv], a[swap, :, j + 1]
+        inv = np.array([pow(x, -1, p) if x else 0
+                        for x, p in zip(a[:, j + 1, j].tolist(), primes.tolist())], dtype=np.int64)
+        f = a[:, j + 2:, j] * inv[:, None] % p1
         if f.any():
-            a[j + 2:, :] = (a[j + 2:, :] - f[:, None] * a[j + 1, :]) % p
-            a[:, j + 1] = (a[:, j + 1] + a[:, j + 2:] @ f) % p
-    # c_k = (x - h[k-1,k-1]) c_{k-1} - sum_i h[i,k-1] * (prod subdiagonals) c_i
-    polys = np.zeros((n + 1, n + 1), dtype=np.int64)  # ascending coefficients
-    polys[0, 0] = 1
+            # rows below the pivot lose f times the pivot row, which clears column j
+            a[:, j + 2:, j] = 0
+            rest = a[:, j + 2:, j + 1:]
+            rest -= f[:, :, None] * a[:, j + 1, None, j + 1:]
+            rest %= p2
+            a[:, :, j + 1] = (a[:, :, j + 1] + (a[:, :, j + 2:] @ f[:, :, None])[:, :, 0]) % p1
+    diag = np.diagonal(a, axis1=1, axis2=2)
+    sub = np.diagonal(a, offset=-1, axis1=1, axis2=2)  # sub[:, i] = h[i+1, i]
+    polys = np.zeros((len(primes), n + 1, n + 1), dtype=np.int64)  # polys[:, k] = c_k
+    polys[:, 0, 0] = 1
+    suffix = np.zeros((len(primes), n), dtype=np.int64)
     for k in range(1, n + 1):
-        ck = np.zeros(n + 1, dtype=np.int64)
-        prev = polys[k - 1]
-        ck[1:k + 1] = prev[:k]
-        ck[:k] = (ck[:k] - a[k - 1, k - 1] * prev[:k]) % p
+        prev, ck = polys[:, k - 1, :k], polys[:, k, :k + 1]
+        ck[:, 1:] = prev
+        ck[:, :k] -= diag[:, k - 1, None] * prev
         if k >= 2:
-            weights = np.zeros(k - 1, dtype=np.int64)
-            prod = 1
-            for i in range(k - 2, -1, -1):
-                prod = (prod * int(a[i + 1, i])) % p
-                weights[i] = (int(a[i, k - 1]) * prod) % p
-            if weights.any():
-                ck[:k] = (ck[:k] - weights @ polys[:k - 1, :k]) % p
-        ck %= p
-        polys[k] = ck
-    return polys[n]
+            suffix[:, k - 2] = 1
+            suffix[:, :k - 1] = suffix[:, :k - 1] * sub[:, k - 2, None] % p1
+            weights = a[:, :k - 1, k - 1] * suffix[:, :k - 1] % p1
+            ck[:, :k - 1] -= (weights[:, None, :] @ polys[:, :k - 1, :k - 1])[:, 0]
+        ck %= p1
+    return polys[:, n].copy()  # not a view that keeps the whole table
 
 
 def _primes_for_crt(need: int, bits: int) -> list[int]:
@@ -265,31 +296,26 @@ def _primes_for_crt(need: int, bits: int) -> list[int]:
     return out
 
 
-def _charpoly_crt(rows: list[list[int]]) -> list[int]:
+def _charpoly_crt(m, rows: list[list[int]]) -> list[int]:
     n = len(rows)
-    bound = _charpoly_coeff_bound(rows)
+    bound = _charpoly_coeff_bound(m, rows)
     try:
         rows_np = np.array(rows, dtype=np.int64)
     except OverflowError:  # entries past int64 stay exact until reduced mod p
         rows_np = np.array(rows, dtype=object)
-    # keep p^2 * n within int64 for the dot products in the reduction
+    # keep p^2 * n within int64 for the dot products in the kernel
     bits = min(26, (62 - n.bit_length()) // 2)
-    primes = _primes_for_crt(2 * bound + 1, bits)
-    residues = [_charpoly_mod(rows_np, p) for p in primes]
-    modulus = 1
-    acc = [0] * (n + 1)
-    for p, res in zip(primes, residues):
-        if modulus == 1:
-            acc = [int(x) % p for x in res]
-            modulus = p
-            continue
-        inv = pow(modulus % p, p - 2, p)
-        for i in range(n + 1):
-            delta = ((int(res[i]) - acc[i]) * inv) % p
-            acc[i] += modulus * delta
+    primes = np.array(_primes_for_crt(2 * bound + 1, bits), dtype=np.int64)
+    chunk = max(1, _CHUNK_ENTRIES // (n * n))
+    residues = np.concatenate([_charpoly_mod(rows_np, primes[i:i + chunk])
+                               for i in range(0, len(primes), chunk)])
+    acc = residues[0].astype(object)
+    modulus = int(primes[0])
+    for p, res in zip(primes[1:].tolist(), residues[1:]):
+        acc = acc + modulus * ((res - acc) * pow(modulus, -1, p) % p)
         modulus *= p
     half = modulus // 2
-    lifted = [c - modulus if c > half else c for c in acc]
+    lifted = [c - modulus if c > half else c for c in acc.tolist()]
     return list(reversed(lifted))  # to descending
 
 
@@ -309,23 +335,28 @@ def lift_twin_char_poly(qm: QuotientMatrix, qpoly: IntPolynomial) -> IntPolynomi
 
 
 def char_poly(m) -> IntPolynomial:
-    """Exact det(xI - M) for an integer matrix, quotient matrix, or graph."""
+    """Exact det(xI - M) for an integer matrix, quotient matrix, or graph.
+
+    A graph's polynomial is computed once and kept on the graph, the way its
+    skeleton is; equal values on a recompute keep the graph safe to share."""
     if isinstance(m, Graph):
-        qm = equitable_quotient_matrix(m, twin_partition(m))
-        return lift_twin_char_poly(qm, char_poly(qm))
+        if m._charpoly is None:
+            qm = equitable_quotient_matrix(m, twin_partition(m))
+            m._charpoly = lift_twin_char_poly(qm, char_poly(qm))
+        return m._charpoly
     rows = _as_int_rows(m)
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise ValueError("matrix must be square")
     if n == 0:
         return IntPolynomial((1,))
-    return IntPolynomial(tuple(_charpoly_crt(rows)))
+    return IntPolynomial(tuple(_charpoly_crt(m, rows)))
 
 
 def eigenvalue_multiplicity(g: Graph, lam: int) -> int:
     """Multiplicity of the integer eigenvalue lam of the adjacency matrix.
 
-    Exact as the root order of the charpoly: the matrix is symmetric, so
-    algebraic and geometric multiplicities agree.
+    Exact as the root order of the graph's kept charpoly: the matrix is
+    symmetric, so algebraic and geometric multiplicities agree.
     """
     return char_poly(g).root_multiplicity(lam)

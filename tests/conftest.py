@@ -2,6 +2,7 @@ import math
 import random
 from dataclasses import dataclass
 
+import numpy as np
 import pytest
 
 from zdgraph import rings as R
@@ -63,6 +64,46 @@ def is_field(ring) -> bool:
         any(ring.mul(a, b) == one for b in range(ring.size))
         for a in range(1, ring.size)
     )
+
+
+def charpoly_mod_reference(rows, p: int) -> list[int]:
+    """charpoly mod prime p, ascending, one prime at a time: a Hessenberg
+    similarity then the leading-minor recurrence with a scalar product of
+    subdiagonals per term.  The reference for the library's batched kernel."""
+    a = np.array([[x % p for x in row] for row in rows], dtype=np.int64)
+    n = a.shape[0]
+    for j in range(n - 2):
+        col = a[j + 1:, j]
+        nz = np.nonzero(col)[0]
+        if nz.size == 0:
+            continue
+        piv = int(nz[0]) + j + 1
+        if piv != j + 1:
+            a[[j + 1, piv], :] = a[[piv, j + 1], :]
+            a[:, [j + 1, piv]] = a[:, [piv, j + 1]]
+        inv = pow(int(a[j + 1, j]), p - 2, p)
+        f = (a[j + 2:, j] * inv) % p
+        if f.any():
+            a[j + 2:, :] = (a[j + 2:, :] - f[:, None] * a[j + 1, :]) % p
+            a[:, j + 1] = (a[:, j + 1] + a[:, j + 2:] @ f) % p
+    # c_k = (x - h[k-1,k-1]) c_{k-1} - sum_i h[i,k-1] * (prod subdiagonals) c_i
+    polys = np.zeros((n + 1, n + 1), dtype=np.int64)
+    polys[0, 0] = 1
+    for k in range(1, n + 1):
+        ck = np.zeros(n + 1, dtype=np.int64)
+        prev = polys[k - 1]
+        ck[1:k + 1] = prev[:k]
+        ck[:k] = (ck[:k] - a[k - 1, k - 1] * prev[:k]) % p
+        if k >= 2:
+            weights = np.zeros(k - 1, dtype=np.int64)
+            prod = 1
+            for i in range(k - 2, -1, -1):
+                prod = (prod * int(a[i + 1, i])) % p
+                weights[i] = (int(a[i, k - 1]) * prod) % p
+            if weights.any():
+                ck[:k] = (ck[:k] - weights @ polys[:k - 1, :k]) % p
+        polys[k] = ck % p
+    return polys[n].tolist()
 
 
 def _signature_refinement(adj: list[list[int]], colors: list[int]) -> list[int]:

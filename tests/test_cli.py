@@ -2,6 +2,7 @@ import json
 import time
 
 from zdgraph.cli import main
+from zdgraph.graphs import Graph
 
 
 def run_cli(capsys, *argv):
@@ -237,3 +238,13 @@ def test_products_of_too_many_classes_fail_fast(capsys):
         code, out, err = run_cli(capsys, "threshold", " x ".join(["Z/2"] * copies))
         assert code == 2 and out == "" and time.perf_counter() - start < 2, copies
         assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_deep_orbit_search_ends_in_its_documented_error(capsys, tmp_path):
+    """The single orbit of a 2 400-vertex perfect matching is neither a
+    clique nor independent: MixedBlock, exit 2, one error line."""
+    path = tmp_path / "matching.json"
+    edges = [(2 * i, 2 * i + 1) for i in range(1200)]
+    path.write_text(json.dumps(Graph.from_edges(2400, edges).to_json_dict()))
+    code, out, err = run_cli(capsys, "spectra", "--graph-file", str(path), "--partition", "aut")
+    assert code == 2 and out == "" and err == "error: block O0 is neither a clique nor independent\n"

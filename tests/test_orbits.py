@@ -117,6 +117,13 @@ def test_caps():
     assert len(aut_orbits(big).blocks) == 1
 
 
+def test_search_depth_is_not_bounded_by_recursion():
+    """A perfect matching of 2 400 vertices is 1 200 isolated twin classes of
+    one colour, so the search fixes one class per level, 1 200 levels deep."""
+    g = G.Graph.from_edges(2400, [(2 * i, 2 * i + 1) for i in range(1200)])
+    assert len(aut_orbits(g).blocks) == 1
+
+
 def test_vertex_transitive_graphs():
     """Color refinement alone cannot split these; the backtracking must
     prove transitivity."""

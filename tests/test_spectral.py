@@ -1,9 +1,11 @@
+import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from conftest import random_graph
+from conftest import charpoly_mod_reference, random_graph
 
 from zdgraph import graphs as G
 from zdgraph import rings as R
@@ -164,6 +166,109 @@ def test_charpoly_cross_validation_and_determinant():
         rows = [[rng.randrange(-4, 5) for _ in range(n)] for _ in range(n)]
         _assert_charpoly_matches_det(rows, S.char_poly(rows), n)
     assert S.char_poly([[2 ** 70, 1], [0, -3]]).coeffs == (1, 3 - 2 ** 70, -3 * 2 ** 70)
+
+
+def test_batched_kernel_matches_per_prime_reference():
+    """Every residue of the batched kernel equals the per-prime reference,
+    also where a pivot or a whole column vanishes modulo one prime only."""
+    primes = S._primes_for_crt(2 ** 200, 26)
+    p0 = S._primes_for_crt(1, 26)[0]
+    assert p0 == primes[0] == 67108859
+    rng = random.Random(23)
+    mats = []
+    for n in (1, 2, 3, 5, 12, 30, 47):
+        mats.append([[rng.randrange(-9, 10) for _ in range(n)] for _ in range(n)])
+        mats.append([[rng.choice((0, 0, 0, 0, 1, -2)) for _ in range(n)] for _ in range(n)])
+    for n in (4, 9, 16):
+        # subdiagonal multiples of p0: only p0 must swap rows to find a pivot
+        rows = [[rng.randrange(-3, 4) for _ in range(n)] for _ in range(n)]
+        for j in range(n - 1):
+            rows[j + 1][j] = p0 * rng.randrange(1, 3)
+        mats.append(rows)
+        # a first column that vanishes mod p0 below the diagonal: p0 skips the step
+        rows = [row[:] for row in rows]
+        for i in range(1, n):
+            rows[i][0] = p0 * rng.randrange(-2, 3)
+        mats.append(rows)
+    for rows in mats:
+        got = S._charpoly_mod(np.array(rows, dtype=np.int64), np.array(primes, dtype=np.int64))
+        for p, res in zip(primes, got.tolist()):
+            assert res == charpoly_mod_reference(rows, p), (len(rows), p)
+        _assert_charpoly_matches_det(rows, S.char_poly(rows), len(rows))
+
+
+def test_chunks_of_primes_give_the_same_polynomial(monkeypatch):
+    rng = random.Random(31)
+    mats = [[[rng.randrange(-20, 21) for _ in range(n)] for _ in range(n)] for n in (3, 17, 40)]
+    whole = [S.char_poly(rows) for rows in mats]
+    monkeypatch.setattr(S, "_CHUNK_ENTRIES", 1)  # one prime per chunk
+    assert [S.char_poly(rows) for rows in mats] == whole
+
+
+def _square_sum(m) -> int:
+    """tr(Q^2) for a quotient matrix, whose spectrum is real; the squared
+    Frobenius norm of anything else (Schur's inequality)."""
+    rows = m.rows() if isinstance(m, S.QuotientMatrix) else m
+    n = len(rows)
+    if isinstance(m, S.QuotientMatrix) and all(
+            m.part_sizes[i] * rows[i][j] == m.part_sizes[j] * rows[j][i]
+            for i in range(n) for j in range(n)):
+        return sum(rows[i][j] * rows[j][i] for i in range(n) for j in range(n))
+    return sum(x * x for row in rows for x in row)
+
+
+def test_coefficients_within_the_bound():
+    """|c_k| <= C(n,k) (s/n)^(k/2) for every k, checked exactly as
+    c_k^2 n^k <= C(n,k)^2 s^k, and the library's bound covers them all.
+    Rotations have tr(A^2) < 0 < sum |lambda|^2, so plain rows and quotient
+    matrices that are not symmetrizable must take the Frobenius form."""
+    mats = []
+    for spec in RANK_SPECS + [R.Zn(720), R.Zn(2310), R.Product((R.Zn(4), R.Zn(8), R.Zn(9)))]:
+        g = G.build_zero_divisor_graph(R.make_ring(spec))
+        mats.append(S.equitable_quotient_matrix(g, G.twin_partition(g)))
+    rng = random.Random(8)
+    for _ in range(20):
+        bits = "0" + "".join(rng.choice("01") for _ in range(rng.randrange(1, 40)))
+        mats.append(S.equitable_quotient_matrix(T.build_threshold_from_code(bits),
+                                                T.run_block_partition(bits)))
+    for n in (1, 2, 3, 6, 10, 25):
+        mats.append([[rng.randrange(-5, 6) for _ in range(n)] for _ in range(n)])
+    mats += [[[0, -1], [1, 0]], [[0, -3], [3, 0]], [[0, 0, 1], [1, 0, 0], [0, 1, 0]],
+             S.QuotientMatrix(((0, -3), (3, 0)), (1, 1), ("clique", "clique"), ("a", "b")),
+             [[1] * 7 for _ in range(7)], [[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -2], [0, 0, 2, 0]]]
+    assert any(sum(r[i][j] * r[j][i] for i in range(len(r)) for j in range(len(r))) < 0
+               for r in map(S._as_int_rows, mats))
+    for m in mats:
+        rows = S._as_int_rows(m)
+        n, s = len(rows), _square_sum(m)
+        coeffs = S.char_poly(m).coeffs
+        for k, c in enumerate(coeffs):
+            assert c * c * n ** k <= math.comb(n, k) ** 2 * s ** k, (rows, k)
+        assert max(map(abs, coeffs)) <= S._charpoly_coeff_bound(m, rows)
+
+
+def test_bound_of_a_64_class_quotient():
+    """A work count instead of a time bound: the Z/30030 twin quotient needs
+    a bound of at most 450 bits, so at most 18 primes of 26 bits."""
+    g = G.build_zero_divisor_graph(R.make_ring(R.Zn(30030)))
+    qm = S.equitable_quotient_matrix(g, G.twin_partition(g))
+    bound = S._charpoly_coeff_bound(qm, qm.rows())
+    assert qm.size == 64 and bound.bit_length() <= 450
+    assert max(map(abs, S.char_poly(qm).coeffs)) <= bound
+
+
+def test_graph_charpoly_runs_the_kernel_once(monkeypatch):
+    """char_poly(g) is kept on the graph, and the multiplicities read it."""
+    calls = []
+    kernel = S._charpoly_crt
+    monkeypatch.setattr(S, "_charpoly_crt", lambda *args: calls.append(1) or kernel(*args))
+    g = G.build_zero_divisor_graph(R.make_ring(R.Zn(36)))
+    full = S.char_poly(g)
+    assert S.eigenvalue_multiplicity(g, 0) == full.root_multiplicity(0) > 0
+    assert S.eigenvalue_multiplicity(g, -1) == full.root_multiplicity(-1)
+    assert S.char_poly(g) is full and len(calls) == 1
+    # kept per graph, not per matrix value: an equal graph runs the kernel again
+    assert S.char_poly(G.Graph(g.n, list(g.rows))) == full and len(calls) == 2
 
 
 def test_graph_charpoly_matches_determinant():
