@@ -10,16 +10,17 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__
-from .errors import UsageError, ZdgError
+from .errors import SizeCapExceeded, UsageError, ZdgError
 from .graphs import Graph, Partition, build_zero_divisor_graph, gcd_class_partition, twin_partition
 from .orbits import aut_orbits
-from .rings import DEFAULT_CAP, ZnRing, make_ring
+from .rings import DEFAULT_CAP, Zn, make_ring
 from .ringexpr import _factor_prime_power, parse_ring_spec, render_ring_spec
 from .spectral import char_poly, equitable_quotient_matrix, lift_twin_char_poly
 from .threshold import (
@@ -74,13 +75,15 @@ def _load_graph_arg(args, cap: int) -> tuple[Graph, object | None]:
         return build_zero_divisor_graph(ring, cap=cap), ring
     if args.graph_file:
         data = json.loads(Path(args.graph_file).read_text(encoding="utf-8"))
-        return Graph.from_json_dict(data), None
+        return Graph.from_json_dict(data, cap), None
+    if len(args.code) > cap:
+        raise SizeCapExceeded.over("--code", math.log10(len(args.code)), cap)
     return build_threshold_from_code(CreationSequence(args.code)), None
 
 
 def _partition_for(g: Graph, ring, method: str, code: str | None) -> Partition:
     if method == "gcd":
-        if ring is None or not isinstance(ring, ZnRing):
+        if ring is None or not isinstance(ring.spec, Zn):
             raise UsageError("--partition gcd needs a Z/n ring expression")
         return gcd_class_partition(ring)
     if method == "twin":

@@ -18,7 +18,7 @@ import numpy as np
 from ._util import DSU, iter_bits, mask_from
 from .errors import SizeCapExceeded, WrongRingKind, ZdgError
 from .ringexpr import render_ring_spec
-from .rings import DEFAULT_CAP, ProductRing, Ring, ZnRing, annihilator_keys, euler_phi
+from .rings import DEFAULT_CAP, ProductRing, Ring, Zn, annihilator_keys, euler_phi, zero_product_table
 
 # classes of a product ring: its class-pair table and each temporary that
 # combines it take k^2 bytes, 64 MiB at the cap
@@ -100,12 +100,24 @@ class Graph:
         }
 
     @classmethod
-    def from_json_dict(cls, data: dict) -> "Graph":
-        n = int(data["n"])
-        labels = [str(s) for s in data.get("labels") or [str(i) for i in range(n)]]
-        if len(labels) != n:
+    def from_json_dict(cls, data: dict, cap: int = DEFAULT_CAP) -> "Graph":
+        """The inverse of ``to_json_dict``.  A malformed body raises
+        ``ZdgError``, and more than ``cap`` vertices ``SizeCapExceeded``,
+        before anything of that size is built."""
+        if not isinstance(data, dict) or not isinstance(data.get("edges"), list):
+            raise ZdgError("graph JSON must be an object with an edge list")
+        n = data.get("n")
+        if type(n) is not int or n < 0:
+            raise ZdgError(f"graph JSON: n must be a non-negative integer, got {n!r}")
+        if n > cap:
+            raise SizeCapExceeded.over("graph", math.log10(n), cap)
+        for e in data["edges"]:
+            if not (isinstance(e, list) and len(e) == 2 and all(type(v) is int and 0 <= v < n for v in e)):
+                raise ZdgError(f"graph JSON: edge {e!r} is not a pair of vertices below n = {n}")
+        labels = data.get("labels") or [str(i) for i in range(n)]
+        if not isinstance(labels, list) or len(labels) != n:
             raise ZdgError("label count does not match n")
-        return cls.from_edges(n, data["edges"], labels, data.get("provenance"))
+        return cls.from_edges(n, data["edges"], [str(s) for s in labels], data.get("provenance"))
 
     def to_dot(self, partition: "Partition | None" = None) -> str:
         def q(s: str) -> str:
@@ -208,6 +220,14 @@ def _row_ints(bits: np.ndarray) -> list[int]:
     return [int.from_bytes(buf[at:at + width], "little") for at in range(0, len(buf), width)]
 
 
+def _bit_rows(rows: list[int], n: int) -> np.ndarray:
+    """Bits 0..n-1 of each int as a row of a boolean matrix: the inverse
+    of ``_row_ints``."""
+    nbytes = n // 8 + 1
+    raw = np.frombuffer(b"".join(r.to_bytes(nbytes, "little") for r in rows), dtype=np.uint8)
+    return np.unpackbits(raw.reshape(len(rows), nbytes), axis=1, count=n, bitorder="little").view(bool)
+
+
 @dataclass(frozen=True)
 class ClassSkeleton:
     """A graph as the generalized join of k classes of mutual twins.
@@ -234,14 +254,9 @@ class ClassSkeleton:
         # join[i] gathers the bits of class i's row at every class's least
         # vertex, a block of rows at a time
         reps = np.array([m[0] for m in members], dtype=np.int64)
-        nbytes = n // 8 + 1
         join = []
         for start in range(0, len(members), 256):
-            block = members[start:start + 256]
-            raw = b"".join(rows[m[0]].to_bytes(nbytes, "little") for m in block)
-            bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8).reshape(len(block), nbytes),
-                                 axis=1, bitorder="little")
-            join += _row_ints(bits[:, reps])
+            join += _row_ints(_bit_rows([rows[m[0]] for m in members[start:start + 256]], n)[:, reps])
         return cls(members, clique, tuple(join))
 
     @cached_property
@@ -325,8 +340,7 @@ def build_zero_divisor_graph(ring: Ring, cap: int = DEFAULT_CAP) -> Graph:
 
     np.fill_diagonal(zero_product, False)
     join = tuple(_row_ints(zero_product))
-    labels = [ring.label(i) for i in range(n)]
-    g = Graph(n, rows, labels, provenance=render_ring_spec(ring.spec))
+    g = Graph(n, rows, ring.labels(), provenance=render_ring_spec(ring.spec))
     g._skeleton = ClassSkeleton(tuple(map(tuple, members)), tuple(clique.tolist()), join)
     return g
 
@@ -337,9 +351,9 @@ def _annihilator_classes(ring: Ring) -> tuple[np.ndarray, np.ndarray]:
 
     In a product ann(x_1, ..., x_m) = ann(x_1) x ... x ann(x_m): a class is
     a tuple of factor classes, and two classes multiply to zero exactly when
-    they do in every factor.  So keys and tables come per factor, from one
-    representative product per pair of factor classes, and are combined
-    with numpy.
+    they do in every factor.  So keys and tables come per factor, the table
+    from one ``zero_product_table`` pass over the factor's class
+    representatives, and are combined with numpy.
     """
     factors = ring.factors if isinstance(ring, ProductRing) else [ring]
     tables = []
@@ -350,8 +364,7 @@ def _annihilator_classes(ring: Ring) -> tuple[np.ndarray, np.ndarray]:
             if c == len(reps):
                 reps.append(x)
             label.append(c)
-        table = np.array([[f.mul(a, b) == f.zero for b in reps] for a in reps], dtype=bool)
-        tables.append((np.array(label, dtype=np.int64), table))
+        tables.append((np.array(label, dtype=np.int64), zero_product_table(f, reps)))
     if len(tables) == 1:
         return tables[0]
     elements = np.arange(ring.size, dtype=np.int64)
@@ -379,9 +392,9 @@ def _annihilator_classes(ring: Ring) -> tuple[np.ndarray, np.ndarray]:
 
 def gcd_class_partition(ring: Ring) -> Partition:
     """One block A_d per divisor d of n, for Z/n rings only."""
-    if not isinstance(ring, ZnRing):
+    if not isinstance(ring.spec, Zn):
         raise WrongRingKind("gcd classes are defined for Z/n rings")
-    n = ring.n
+    n = ring.size
     groups: dict[int, list[int]] = {}
     for x in range(n):
         groups.setdefault(math.gcd(x, n) if x else n, []).append(x)

@@ -1,15 +1,19 @@
 """Finite commutative rings with unity, with elements indexed 0..size-1.
 
-Every ring exposes closed-form arithmetic on canonical element indices.
-Index 0 is always the additive identity.  Elements decode to a coordinate
-tuple over cyclic moduli (``coord_moduli``); addition is componentwise in
-those coordinates, which the annihilator-key machinery relies on.
+Every ring is one ``Ring``: coordinates over cyclic moduli
+(``coord_moduli``) and the products of its generators.  One mixed-radix
+codec maps coordinate tuples to indices, index 0 being the additive
+identity; addition is componentwise and multiplication bilinear in the
+coordinates, which the annihilator-key machinery relies on.  ``make_ring``
+states each family by its generator products, and ``labels()`` names every
+element at once.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 import random
 from dataclasses import dataclass
 
@@ -182,28 +186,35 @@ class Product:
 RingSpec = Zn | GF | MonicQuotient | FamA | FamB | FamC | FamD | Product
 
 
+def _spec_powers(spec: RingSpec) -> list[tuple[int, int]]:
+    """(base, exponent) pairs whose powers multiply to the size of ``spec``."""
+    if isinstance(spec, Product):
+        return [pw for f in spec.factors for pw in _spec_powers(f)]
+    if isinstance(spec, Zn):
+        return [(spec.n, 1)]
+    if isinstance(spec, GF):
+        return [(spec.p, spec.k)]
+    if isinstance(spec, MonicQuotient):
+        return [(spec.base.n, spec.degree)]
+    if isinstance(spec, FamA):
+        return [(spec.p, spec.alpha + 1)]
+    if isinstance(spec, FamB):
+        return [(spec.p, spec.p)]
+    if isinstance(spec, FamC):
+        return [(spec.p, 4)]
+    if isinstance(spec, FamD):
+        return [(spec.p, 3)]
+    raise TypeError(f"not a RingSpec: {spec!r}")
+
+
 def spec_size(spec: RingSpec) -> int:
     """Analytic element count, computed without building the ring."""
-    if isinstance(spec, Zn):
-        return spec.n
-    if isinstance(spec, GF):
-        return spec.p ** spec.k
-    if isinstance(spec, MonicQuotient):
-        return spec.base.n ** spec.degree
-    if isinstance(spec, FamA):
-        return spec.p ** (spec.alpha + 1)
-    if isinstance(spec, FamB):
-        return spec.p ** spec.p
-    if isinstance(spec, FamC):
-        return spec.p ** 4
-    if isinstance(spec, FamD):
-        return spec.p ** 3
-    if isinstance(spec, Product):
-        out = 1
-        for f in spec.factors:
-            out *= spec_size(f)
-        return out
-    raise TypeError(f"not a RingSpec: {spec!r}")
+    return math.prod(base ** e for base, e in _spec_powers(spec))
+
+
+def _spec_log10_size(spec: RingSpec) -> float:
+    """log10 of spec_size(spec), computed without the size itself."""
+    return sum(e * math.log10(base) for base, e in _spec_powers(spec))
 
 
 # ---------------------------------------------------------------------------
@@ -254,26 +265,13 @@ def find_irreducible(p: int, k: int) -> tuple[int, ...]:
     raise ZdgError(f"no irreducible polynomial of degree {k} over Z_{p}")  # unreachable
 
 
-def _poly_label(coeffs, symbols) -> str:
-    terms = []
-    for c, sym in zip(coeffs, symbols):
-        if c == 0:
-            continue
-        if sym == "":
-            terms.append(str(c))
-        elif c == 1:
-            terms.append(sym)
-        else:
-            terms.append(f"{c}{sym}")
-    return "+".join(terms) if terms else "0"
-
-
 # ---------------------------------------------------------------------------
 # Ring arithmetic
 # ---------------------------------------------------------------------------
 
 class Ring:
-    """Common interface: mixed-radix index codec plus add/neg/mul.
+    """A ring as coordinates over cyclic moduli and the products of its
+    generators: one index codec, bilinear multiplication and labels.
 
     Codec invariant, which ``annihilator_keys`` relies on: the index of the
     element with coordinates (c_1, ..., c_t) is the little-endian mixed-radix
@@ -281,305 +279,106 @@ class Ring:
     (m_1, ..., m_t), with 0 <= c_j < m_j, and addition is componentwise
     mod m_j.  A product's coordinates are its factors' in order, the first
     factor's lowest.
+
+    The element with coordinates c is sum_i c_i e_i over generators e_i
+    (1, x, x^2, ... or y), so multiplication is bilinear:
+    coord_j(x*y) = sum_{i,l} c_i(x) c_l(y) coord_j(e_i e_l) mod m_j, where
+    ``products[i][l]`` holds the coordinates of e_i e_l.  Outside a product
+    e_1 = 1, so ``one`` is index 1.  ``symbols[i]`` names e_i in labels,
+    "" for the constant.
     """
 
-    spec: RingSpec
-    size: int
-    one: int
-    zero = 0
-    coord_moduli: tuple[int, ...]
+    one = 1
+
+    def __init__(self, spec: RingSpec, moduli, products, symbols):
+        self.spec = spec
+        self.coord_moduli = tuple(moduli)
+        self.size = math.prod(moduli)
+        self.products = products
+        self.symbols = symbols
+        # (radix weight, modulus) per coordinate
+        self._codec = tuple(zip(itertools.accumulate(moduli[:-1], operator.mul, initial=1), moduli))
+        # the nonzero generator products as (i, l, [(j, coord_j(e_i e_l)), ...])
+        self._terms = [(i, l, [(j, c) for j, c in enumerate(e) if c])
+                       for i, row in enumerate(products) for l, e in enumerate(row) if any(e)]
 
     def decode(self, i: int) -> tuple[int, ...]:
-        raise NotImplementedError
+        return tuple([i // r % m for r, m in self._codec])
 
     def encode(self, coords) -> int:
-        raise NotImplementedError
+        return sum([c % m * r for c, (r, m) in zip(coords, self._codec)])
 
     def add(self, a: int, b: int) -> int:
-        raise NotImplementedError
+        return self.encode([x + y for x, y in zip(self.decode(a), self.decode(b))])
 
     def neg(self, a: int) -> int:
-        raise NotImplementedError
+        return self.encode([-x for x in self.decode(a)])
 
     def mul(self, a: int, b: int) -> int:
-        raise NotImplementedError
+        x, y = self.decode(a), self.decode(b)
+        out = [0] * len(x)
+        for i, l, terms in self._terms:
+            c = x[i] * y[l]
+            if c:
+                for j, v in terms:
+                    out[j] += c * v
+        return self.encode(out)
 
-    def label(self, i: int) -> str:
-        raise NotImplementedError
+    def labels(self) -> list[str]:
+        """Every element's label in index order: its nonzero terms (c, x,
+        cx, ...) joined by "+", or "0"."""
+        tables = []
+        for m, sym in zip(self.coord_moduli, self.symbols):
+            terms = [str(c) + sym for c in range(m)]
+            terms[0] = ""
+            if sym:
+                terms[1] = sym
+            tables.append(terms)
+        out = tables[0]
+        for terms in tables[1:]:
+            # the earlier coordinates vary fastest
+            out = [f"{lo}+{hi}" if lo and hi else lo or hi for hi in terms for lo in out]
+        out[0] = "0"
+        return out
 
     def generator_indices(self) -> list[int]:
         """Elements whose coordinate vector is a unit vector."""
-        t = len(self.coord_moduli)
-        out = []
-        for i in range(t):
-            coords = [0] * t
-            coords[i] = 1
-            out.append(self.encode(coords))
-        return out
+        return [r for r, _ in self._codec]
 
     def __repr__(self):
         return f"<Ring {self.spec!r} size={self.size}>"
 
 
-class ZnRing(Ring):
-    def __init__(self, spec: Zn):
-        self.spec = spec
-        self.n = spec.n
-        self.size = spec.n
-        self.one = 1
-        self.coord_moduli = (spec.n,)
-
-    def decode(self, i):
-        return (i,)
-
-    def encode(self, coords):
-        return coords[0] % self.n
-
-    def add(self, a, b):
-        return (a + b) % self.n
-
-    def neg(self, a):
-        return (-a) % self.n
-
-    def mul(self, a, b):
-        return (a * b) % self.n
-
-    def label(self, i):
-        return str(i)
-
-
-class PolyQuotientRing(Ring):
-    """Z/n[x] modulo a monic polynomial, elements as coefficient vectors.
-
-    Also backs GF(p^k) (irreducible modulus) and the x^p = 0 family.
-    """
-
-    def __init__(self, spec: RingSpec, n: int, modulus: tuple[int, ...]):
-        self.spec = spec
-        self.n = n
-        self.modulus = modulus
-        self.degree = len(modulus) - 1
-        self.size = n ** self.degree
-        self.one = 1
-        self.coord_moduli = (n,) * self.degree
-        self._symbols = [""] + ["x"] + [f"x^{e}" for e in range(2, self.degree)]
-
-    def decode(self, i):
-        return tuple(_digits(i, self.n, self.degree))
-
-    def encode(self, coords):
-        i = 0
-        for c in reversed(coords):
-            i = i * self.n + (c % self.n)
-        return i
-
-    def add(self, a, b):
-        ca, cb = self.decode(a), self.decode(b)
-        return self.encode([x + y for x, y in zip(ca, cb)])
-
-    def neg(self, a):
-        return self.encode([-x for x in self.decode(a)])
-
-    def mul(self, a, b):
-        ca, cb = self.decode(a), self.decode(b)
-        d = self.degree
-        tmp = [0] * (2 * d - 1)
-        for i, x in enumerate(ca):
-            if x:
-                for j, y in enumerate(cb):
-                    tmp[i + j] += x * y
-        n = self.n
-        for i in range(2 * d - 2, d - 1, -1):
-            c = tmp[i] % n
-            if c:
-                for j in range(d):
-                    tmp[i - d + j] = (tmp[i - d + j] - c * self.modulus[j]) % n
-        return self.encode([c % n for c in tmp[:d]])
-
-    def label(self, i):
-        return _poly_label(self.decode(i), self._symbols)
-
-
-class FamARing(Ring):
-    """Elements a + b*x with a mod p^alpha, b mod p; x^2 = 0, p*x = 0."""
-
-    def __init__(self, spec: FamA):
-        self.spec = spec
-        self.p = spec.p
-        self.pa = spec.p ** spec.alpha
-        self.size = self.pa * spec.p
-        self.one = 1
-        self.coord_moduli = (self.pa, self.p)
-
-    def decode(self, i):
-        return (i % self.pa, i // self.pa)
-
-    def encode(self, coords):
-        return (coords[0] % self.pa) + self.pa * (coords[1] % self.p)
-
-    def add(self, a, b):
-        a0, a1 = self.decode(a)
-        b0, b1 = self.decode(b)
-        return self.encode((a0 + b0, a1 + b1))
-
-    def neg(self, a):
-        a0, a1 = self.decode(a)
-        return self.encode((-a0, -a1))
-
-    def mul(self, a, b):
-        a0, a1 = self.decode(a)
-        b0, b1 = self.decode(b)
-        return self.encode((a0 * b0, a0 * b1 + b0 * a1))
-
-    def label(self, i):
-        return _poly_label(self.decode(i), ["", "x"])
-
-
-class FamCRing(Ring):
-    """Elements a0 + a1*x + a2*x^2 + b1*y over Z_p; x^3 = xy = y^2 = 0."""
-
-    def __init__(self, spec: FamC):
-        self.spec = spec
-        self.p = spec.p
-        self.size = spec.p ** 4
-        self.one = 1
-        self.coord_moduli = (spec.p,) * 4
-
-    def decode(self, i):
-        return tuple(_digits(i, self.p, 4))
-
-    def encode(self, coords):
-        p = self.p
-        i = 0
-        for c in reversed(coords):
-            i = i * p + (c % p)
-        return i
-
-    def add(self, a, b):
-        ca, cb = self.decode(a), self.decode(b)
-        return self.encode([x + y for x, y in zip(ca, cb)])
-
-    def neg(self, a):
-        return self.encode([-x for x in self.decode(a)])
-
-    def mul(self, a, b):
-        a0, a1, a2, a3 = self.decode(a)
-        b0, b1, b2, b3 = self.decode(b)
-        return self.encode((
-            a0 * b0,
-            a0 * b1 + a1 * b0,
-            a0 * b2 + a1 * b1 + a2 * b0,
-            a0 * b3 + a3 * b0,
-        ))
-
-    def label(self, i):
-        return _poly_label(self.decode(i), ["", "x", "x^2", "y"])
-
-
-class FamDRing(Ring):
-    """Elements a + b*x with a mod p^2, b mod p; p*x = 0, x^2 = p."""
-
-    def __init__(self, spec: FamD):
-        self.spec = spec
-        self.p = spec.p
-        self.p2 = spec.p * spec.p
-        self.size = self.p2 * spec.p
-        self.one = 1
-        self.coord_moduli = (self.p2, self.p)
-
-    def decode(self, i):
-        return (i % self.p2, i // self.p2)
-
-    def encode(self, coords):
-        return (coords[0] % self.p2) + self.p2 * (coords[1] % self.p)
-
-    def add(self, a, b):
-        a0, a1 = self.decode(a)
-        b0, b1 = self.decode(b)
-        return self.encode((a0 + b0, a1 + b1))
-
-    def neg(self, a):
-        a0, a1 = self.decode(a)
-        return self.encode((-a0, -a1))
-
-    def mul(self, a, b):
-        a0, a1 = self.decode(a)
-        b0, b1 = self.decode(b)
-        return self.encode((a0 * b0 + self.p * a1 * b1, a0 * b1 + b0 * a1))
-
-    def label(self, i):
-        return _poly_label(self.decode(i), ["", "x"])
-
-
 class ProductRing(Ring):
+    """R_1 x ... x R_m: the factors' coordinates side by side and their
+    generator products block-diagonal; labels are parenthesised tuples."""
+
     def __init__(self, spec: Product, factors: list[Ring]):
-        self.spec = spec
-        self.factors = factors
-        self.size = math.prod(f.size for f in factors)
-        self.coord_moduli = tuple(m for f in factors for m in f.coord_moduli)
-        self._coord_splits = [len(f.coord_moduli) for f in factors]
-        self.one = self._join([f.one for f in factors])
-
-    def _split(self, i):
-        parts = []
-        for f in self.factors:
-            parts.append(i % f.size)
-            i //= f.size
-        return parts
-
-    def _join(self, parts):
-        i = 0
-        for f, part in zip(reversed(self.factors), reversed(parts)):
-            i = i * f.size + part
-        return i
-
-    def decode(self, i):
-        out = []
-        for f, part in zip(self.factors, self._split(i)):
-            out.extend(f.decode(part))
-        return tuple(out)
-
-    def encode(self, coords):
-        parts = []
+        moduli = [m for f in factors for m in f.coord_moduli]
+        t = len(moduli)
+        products = [[(0,) * t] * t for _ in range(t)]
         at = 0
-        for f, w in zip(self.factors, self._coord_splits):
-            parts.append(f.encode(coords[at:at + w]))
+        for f in factors:
+            w = len(f.coord_moduli)
+            for i, row in enumerate(f.products):
+                for l, e in enumerate(row):
+                    products[at + i][at + l] = (0,) * at + tuple(e) + (0,) * (t - at - w)
             at += w
-        return self._join(parts)
+        super().__init__(spec, moduli, products, None)
+        self.factors = factors
+        self.one = self.encode([c for f in factors for c in f.decode(f.one)])
 
-    def add(self, a, b):
-        return self._join([f.add(x, y) for f, x, y in zip(self.factors, self._split(a), self._split(b))])
-
-    def neg(self, a):
-        return self._join([f.neg(x) for f, x in zip(self.factors, self._split(a))])
-
-    def mul(self, a, b):
-        return self._join([f.mul(x, y) for f, x, y in zip(self.factors, self._split(a), self._split(b))])
-
-    def label(self, i):
-        return "(" + ",".join(f.label(x) for f, x in zip(self.factors, self._split(i))) + ")"
+    def labels(self) -> list[str]:
+        parts = [f.labels() for f in self.factors]
+        # the first factor's index varies fastest, as in itertools.product's last
+        return ["(" + ",".join(reversed(combo)) + ")" for combo in itertools.product(*reversed(parts))]
 
 
-def _spec_log10_size(spec: RingSpec) -> float:
-    """log10 of spec_size(spec), computed without the size itself."""
-    log = math.log10
-    if isinstance(spec, Zn):
-        return log(spec.n)
-    if isinstance(spec, GF):
-        return spec.k * log(spec.p)
-    if isinstance(spec, MonicQuotient):
-        return spec.degree * log(spec.base.n)
-    if isinstance(spec, FamA):
-        return (spec.alpha + 1) * log(spec.p)
-    if isinstance(spec, FamB):
-        return spec.p * log(spec.p)
-    if isinstance(spec, FamC):
-        return 4 * log(spec.p)
-    if isinstance(spec, FamD):
-        return 3 * log(spec.p)
-    if isinstance(spec, Product):
-        return sum(_spec_log10_size(f) for f in spec.factors)
-    raise TypeError(f"not a RingSpec: {spec!r}")
+def _poly_products(n: int, modulus) -> list:
+    """x^i * x^l reduced by a monic modulus over Z/n, for 0 <= i, l < degree."""
+    d = len(modulus) - 1
+    return [[tuple(_poly_mod([0] * (i + l) + [1] + [0] * d, list(modulus), n)) for l in range(d)]
+            for i in range(d)]
 
 
 def make_ring(spec: RingSpec, cap: int = DEFAULT_CAP) -> Ring:
@@ -591,22 +390,34 @@ def make_ring(spec: RingSpec, cap: int = DEFAULT_CAP) -> Ring:
     if log10_size > math.log10(max(cap, 1)) + 1 or spec_size(spec) > cap:
         from .ringexpr import render_ring_spec  # ringexpr imports this module
         raise SizeCapExceeded.over(render_ring_spec(spec), log10_size, cap)
-    if isinstance(spec, Zn):
-        return ZnRing(spec)
-    if isinstance(spec, GF):
-        return PolyQuotientRing(spec, spec.p, find_irreducible(spec.p, spec.k))
-    if isinstance(spec, MonicQuotient):
-        return PolyQuotientRing(spec, spec.base.n, spec.modulus)
-    if isinstance(spec, FamA):
-        return FamARing(spec)
-    if isinstance(spec, FamB):
-        return PolyQuotientRing(spec, spec.p, (0,) * spec.p + (1,))
-    if isinstance(spec, FamC):
-        return FamCRing(spec)
-    if isinstance(spec, FamD):
-        return FamDRing(spec)
     if isinstance(spec, Product):
         return ProductRing(spec, [make_ring(f, cap) for f in spec.factors])
+    if isinstance(spec, Zn):
+        return Ring(spec, (spec.n,), [[(1,)]], ("",))
+    if isinstance(spec, (GF, MonicQuotient, FamB)):
+        if isinstance(spec, GF):
+            n, modulus = spec.p, find_irreducible(spec.p, spec.k)
+        elif isinstance(spec, MonicQuotient):
+            n, modulus = spec.base.n, spec.modulus
+        else:  # x^p = 0
+            n, modulus = spec.p, (0,) * spec.p + (1,)
+        d = len(modulus) - 1
+        symbols = ["", "x"] + [f"x^{e}" for e in range(2, d)]
+        return Ring(spec, (n,) * d, _poly_products(n, modulus), symbols)
+    if isinstance(spec, (FamA, FamD)):
+        # a + b x with p x = 0, and x^2 = 0 (FamA) or x^2 = p (FamD)
+        p = spec.p
+        if isinstance(spec, FamA):
+            moduli, x2 = (p ** spec.alpha, p), (0, 0)
+        else:
+            moduli, x2 = (p * p, p), (p, 0)
+        return Ring(spec, moduli, [[(1, 0), (0, 1)], [(0, 1), x2]], ("", "x"))
+    if isinstance(spec, FamC):
+        # on 1, x, x^2, y: x^3 = xy = y^2 = 0
+        one, x, xx, y = (tuple(int(j == i) for j in range(4)) for i in range(4))
+        z = (0,) * 4
+        products = [[one, x, xx, y], [x, xx, z, z], [xx, z, z, z], [y, z, z, z]]
+        return Ring(spec, (spec.p,) * 4, products, ("", "x", "x^2", "y"))
     raise TypeError(f"not a RingSpec: {spec!r}")
 
 
@@ -651,7 +462,7 @@ def annihilator_keys(ring: Ring) -> list:
     gens = ring.generator_indices()
     if len(mods) == 1:
         # x*e_1 has coordinate x * coord(e_1*e_1), multiplication being bilinear
-        b = ring.decode(ring.mul(gens[0], gens[0]))[0]
+        b = ring.products[0][0][0]
         return [(g,) for g in np.gcd(np.arange(ring.size, dtype=np.int64) * b % M, M).tolist()]
     reps = _unit_orbit_reps(ring)
     key_of = {x: _hnf_key(ring, x, gens, M) for x in np.unique(reps).tolist()}
@@ -670,9 +481,24 @@ def _hnf_key(ring: Ring, x: int, gens: list[int], M: int) -> tuple:
 def _element_coords(ring: Ring) -> tuple[np.ndarray, np.ndarray]:
     """The coordinates of every element (one row per index) and the radix
     weights that encode a coordinate row back to its index."""
-    mods = np.array(ring.coord_moduli, dtype=np.int64)
-    radix = np.cumprod(np.concatenate(([1], mods[:-1])))
-    return np.arange(ring.size, dtype=np.int64)[:, None] // radix % mods, radix
+    radix = np.array(ring.generator_indices(), dtype=np.int64)
+    return np.arange(ring.size, dtype=np.int64)[:, None] // radix % ring.coord_moduli, radix
+
+
+def zero_product_table(ring: Ring, xs) -> np.ndarray:
+    """table[a, b] is whether xs[a] * xs[b] = 0, for all pairs at once.
+
+    With X the coordinate rows of ``xs`` and P_j coordinate j of the
+    generator products, coordinate j of every pairwise product is
+    (X P_j mod m_j) X^T mod m_j.  Entries stay below t * m^2, as in
+    ``_multiplication_map``.
+    """
+    x = np.asarray(xs, dtype=np.int64)[:, None] // np.array(ring.generator_indices()) % ring.coord_moduli
+    p = np.array(ring.products, dtype=np.int64)
+    table = np.ones((len(x), len(x)), dtype=bool)
+    for j, m in enumerate(ring.coord_moduli):
+        table &= (x @ p[:, :, j] % m) @ x.T % m == 0
+    return table
 
 
 def _multiplication_map(ring: Ring, coords: np.ndarray, radix: np.ndarray, u: int) -> np.ndarray:

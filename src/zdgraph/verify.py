@@ -20,6 +20,7 @@ from .errors import RingSemanticError, SizeCapExceeded
 from .graphs import (
     Graph,
     JoinSkeleton,
+    _bit_rows,
     build_zero_divisor_graph,
     complete_graph,
     empty_graph,
@@ -80,15 +81,6 @@ def _timed(claim: str, params: dict, fn) -> ClaimReport:
                        time.perf_counter() - start)
 
 
-def _bool_adjacency(g: Graph) -> np.ndarray:
-    nbytes = (g.n + 7) // 8
-    out = np.zeros((g.n, g.n), dtype=bool)
-    for v in range(g.n):
-        raw = np.frombuffer(g.rows[v].to_bytes(nbytes, "little"), dtype=np.uint8)
-        out[v] = np.unpackbits(raw, bitorder="little")[:g.n]
-    return out
-
-
 def _p_exponents(n_values: np.ndarray, p: int, alpha: int, modulus: int) -> np.ndarray:
     exp = np.zeros(len(n_values), dtype=np.int64)
     rem = n_values % modulus
@@ -112,7 +104,7 @@ def verify_adjacency_lemma(p: int, alpha: int, cap: int = DEFAULT_CAP) -> ClaimR
     def run():
         n = p ** alpha
         g = build_zero_divisor_graph(make_ring(Zn(n), cap=cap), cap=cap)
-        adj = _bool_adjacency(g)
+        adj = _bit_rows(g.rows, g.n)
         vals = np.arange(n, dtype=np.int64)
         direct = (np.outer(vals, vals) % n) == 0
         exps = _p_exponents(vals, p, alpha, n)

@@ -9,12 +9,125 @@ from zdgraph import rings as R
 from zdgraph.graphs import Graph, Partition
 
 
+def _digits(i: int, moduli) -> list[int]:
+    out = []
+    for m in moduli:
+        out.append(i % m)
+        i //= m
+    return out
+
+
+def _undigits(coords, moduli) -> int:
+    i = 0
+    for c, m in zip(reversed(coords), reversed(moduli)):
+        i = i * m + c % m
+    return i
+
+
+def _poly_label(coeffs, symbols) -> str:
+    terms = []
+    for c, sym in zip(coeffs, symbols):
+        if c == 0:
+            continue
+        if sym == "":
+            terms.append(str(c))
+        elif c == 1:
+            terms.append(sym)
+        else:
+            terms.append(f"{c}{sym}")
+    return "+".join(terms) if terms else "0"
+
+
+def _poly_mul(n: int, modulus):
+    """Coefficient product in Z/n[x] reduced by a monic modulus."""
+    d = len(modulus) - 1
+
+    def mul(ca, cb):
+        tmp = [0] * (2 * d - 1)
+        for i, x in enumerate(ca):
+            if x:
+                for j, y in enumerate(cb):
+                    tmp[i + j] += x * y
+        for i in range(2 * d - 2, d - 1, -1):
+            c = tmp[i] % n
+            if c:
+                for j in range(d):
+                    tmp[i - d + j] = (tmp[i - d + j] - c * modulus[j]) % n
+        return tmp[:d]
+
+    return mul
+
+
+def _closed_form(spec):
+    """(size, mul, label) of a ring spec on element indices, from one
+    closed-form multiplication per family and the spec's own mixed-radix
+    digits; a product works per factor, its first factor's index lowest."""
+    if isinstance(spec, R.Product):
+        parts = [_closed_form(f) for f in spec.factors]
+        sizes = [size for size, _, _ in parts]
+
+        def mul(a, b):
+            return _undigits([f(x, y) for (_, f, _), x, y in zip(parts, _digits(a, sizes), _digits(b, sizes))],
+                             sizes)
+
+        def label(i):
+            return "(" + ",".join(lab(x) for (_, _, lab), x in zip(parts, _digits(i, sizes))) + ")"
+
+        return math.prod(sizes), mul, label
+    if isinstance(spec, R.Zn):
+        moduli, symbols = (spec.n,), [""]
+        cmul = lambda a, b: (a[0] * b[0],)
+    elif isinstance(spec, (R.GF, R.MonicQuotient, R.FamB)):
+        if isinstance(spec, R.GF):
+            n, modulus = spec.p, R.find_irreducible(spec.p, spec.k)
+        elif isinstance(spec, R.MonicQuotient):
+            n, modulus = spec.base.n, spec.modulus
+        else:  # x^p = 0
+            n, modulus = spec.p, (0,) * spec.p + (1,)
+        d = len(modulus) - 1
+        moduli, symbols = (n,) * d, ["", "x"] + [f"x^{e}" for e in range(2, d)]
+        cmul = _poly_mul(n, modulus)
+    elif isinstance(spec, R.FamA):  # a + b x; p x = 0, x^2 = 0
+        moduli, symbols = (spec.p ** spec.alpha, spec.p), ["", "x"]
+        cmul = lambda a, b: (a[0] * b[0], a[0] * b[1] + b[0] * a[1])
+    elif isinstance(spec, R.FamC):  # a0 + a1 x + a2 x^2 + a3 y; x^3 = xy = y^2 = 0
+        moduli, symbols = (spec.p,) * 4, ["", "x", "x^2", "y"]
+        cmul = lambda a, b: (a[0] * b[0], a[0] * b[1] + a[1] * b[0],
+                             a[0] * b[2] + a[1] * b[1] + a[2] * b[0], a[0] * b[3] + a[3] * b[0])
+    elif isinstance(spec, R.FamD):  # a + b x; p x = 0, x^2 = p
+        p = spec.p
+        moduli, symbols = (p * p, p), ["", "x"]
+        cmul = lambda a, b: (a[0] * b[0] + p * a[1] * b[1], a[0] * b[1] + b[0] * a[1])
+    else:
+        raise TypeError(spec)
+
+    def mul(a, b):
+        return _undigits(cmul(_digits(a, moduli), _digits(b, moduli)), moduli)
+
+    def label(i):
+        return _poly_label(_digits(i, moduli), symbols)
+
+    return math.prod(moduli), mul, label
+
+
+def closed_form_mul(ring):
+    """x*y on element indices, computed without the library's arithmetic:
+    the reference for ``Ring.mul`` and ``rings.zero_product_table``."""
+    return _closed_form(ring.spec)[1]
+
+
+def reference_labels(ring) -> list[str]:
+    """Every element's label, one at a time: the reference for ``Ring.labels``."""
+    label = _closed_form(ring.spec)[2]
+    return [label(i) for i in range(ring.size)]
+
+
 def brute_zero_divisor_graph(ring) -> Graph:
     """Independent O(n^2) construction straight from the definition."""
     n = ring.size
-    edges = [(a, b) for a in range(n) for b in range(a + 1, n) if ring.mul(a, b) == 0]
-    g = Graph.from_edges(n, edges, [ring.label(i) for i in range(n)])
-    return g
+    mul = closed_form_mul(ring)
+    edges = [(a, b) for a in range(n) for b in range(a + 1, n) if mul(a, b) == 0]
+    return Graph.from_edges(n, edges, ring.labels())
 
 
 @dataclass(frozen=True)
@@ -43,7 +156,7 @@ def classify_element(ring, a: int) -> ElementClass:
     """Unit, nilpotent and zero-divisor status of ``a`` by O(n) search."""
     unit = any(ring.mul(a, b) == ring.one for b in range(ring.size))
     zd = a == 0 or any(b != 0 and ring.mul(a, b) == 0 for b in range(ring.size))
-    gcd_n = math.gcd(a, ring.size) if isinstance(ring, R.ZnRing) else None
+    gcd_n = math.gcd(a, ring.size) if isinstance(ring.spec, R.Zn) else None
     return ElementClass(
         index=a,
         is_zero=a == 0,
@@ -232,6 +345,13 @@ SMALL_RING_SPECS = [
     R.Product((R.GF(3), R.GF(3))),
     R.Product((R.Zn(2), R.Zn(2), R.Zn(2))),
     R.Product((R.Zn(4), R.GF(2, 2))),
+]
+
+
+# one ring of every kind, a product of three kinds among them
+CODEC_SPECS = [
+    R.Zn(12), R.GF(5), R.GF(3, 3), R.MonicQuotient(R.Zn(6), (1, 5, 1)), R.FamA(3, 2),
+    R.FamB(3), R.FamC(3), R.FamD(5), R.Product((R.FamA(2, 2), R.Zn(3), R.GF(2, 2))),
 ]
 
 

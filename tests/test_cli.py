@@ -1,6 +1,8 @@
 import json
 import time
 
+import pytest
+
 from zdgraph.cli import main
 from zdgraph.graphs import Graph
 
@@ -248,3 +250,22 @@ def test_deep_orbit_search_ends_in_its_documented_error(capsys, tmp_path):
     path.write_text(json.dumps(Graph.from_edges(2400, edges).to_json_dict()))
     code, out, err = run_cli(capsys, "spectra", "--graph-file", str(path), "--partition", "aut")
     assert code == 2 and out == "" and err == "error: block O0 is neither a clique nor independent\n"
+
+
+@pytest.mark.parametrize("body", [
+    '{"n": 2, "edges": [[0, 5]]}', '{"n": 2, "edges": [[0, -1]]}', '{"n": 2}',
+    '{"n": "abc", "edges": []}', '{"n": 2, "edges": [[0]]}', '[[0, 1]]',
+    '{"n": 100000000000, "edges": []}',
+])
+def test_malformed_or_oversized_graph_files_exit_2(capsys, tmp_path, body):
+    path = tmp_path / "g.json"
+    path.write_text(body)
+    start = time.perf_counter()
+    code, _, err = run_cli(capsys, "threshold", "--graph-file", str(path))
+    assert time.perf_counter() - start < 2
+    assert code == 2 and err.startswith("error:") and "Traceback" not in err, body
+
+
+def test_code_longer_than_cap_exits_2(capsys):
+    code, _, err = run_cli(capsys, "threshold", "--code", "0" + "1" * 20, "--cap", "20")
+    assert code == 2 and err.startswith("error:")

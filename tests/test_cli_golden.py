@@ -61,7 +61,7 @@ def invocations(graph_file: str) -> dict[str, list[list[str]]]:
     return out
 
 
-def digest(runs: list[list[str]], graph_file: str) -> str:
+def digest(runs: list[list[str]], graph_file: str | None) -> str:
     h = hashlib.sha256()
     for argv in runs:
         out = io.StringIO()
@@ -110,3 +110,40 @@ def test_cli_output_digests(tmp_path):
         json.dump(golden_graph(), f)
     got = {name: digest(runs, graph_file) for name, runs in invocations(graph_file).items()}
     assert got == GOLDEN
+
+
+# `zdg graph` and `zdg graph --dot` per ring: the only outputs that carry
+# element labels, recorded before the per-family ring classes became one
+GRAPH_DIGESTS = {
+    "Z/12": "c19138d065ba7371b5b1f1f41def0872532108d17f1a7733b5fb4b7e59c53e24",
+    "Z/30": "e0b2e1e41f9ea06b251a8bf7202232aba12c509df7bd32e2652cc862a2940c40",
+    "Z/64": "5dc9c95e72ec8d9205df4f9e33ecffba3f338726daadc74e28967ff9a7441b96",
+    "Z/210": "adff6aad245a8537909a326176371145d288c8bf90b542d079335e2172927c96",
+    "Z/360": "2ace00dd4349f91061f7f4e1aa665832a9553e15c3e2fcf907c917aa0c6e6b0b",
+    "Z/1001": "235a666532aa01f391c6714b7f8577aa75d276de188719a8c9dbe21af2b8f715",
+    "GF(8)": "f7fb42a1fe5fb685c9d8d904540be6d265bd3a9fea9240596c75edf262c6def7",
+    "GF(9)": "b10ccc52cfeb09547080ae13d449c910658ad03a694f6d520c2708b5710b06b3",
+    "Z/4[x]/(x^2)": "cb6c1f25405df295c2d87fbf397aad6e5c05ece078044c627cce5c63b87745fd",
+    "Z/9[x]/(x^2+x+3)": "37957c33b4fdd567259b4ed1e741dfc2dd1bce08e6390f85ce8932020f130896",
+    "FamA(2,3)": "3ab0e9617b003c6949c8fb36c47f171a88b0f636530be4dd1dab0bab42bf5a4c",
+    "FamA(3,1)": "7da4a57c9beba5ad5124bbe4f0af220a86f60b0cf64b808fcde8c266a6da2c99",
+    "FamB(3)": "9128958f2184ba024fd81d4d6a28f2df3bb77ec07017611deec28c5d4fd22832",
+    "FamC(2)": "adf5921bc12cc635a81f6efa9a5d0a93846299baa162392c36386404eae29392",
+    "FamD(3)": "11cd510d7b1154eb27da899d382370ba2730e336b72f00d3351c9ecc9fd6a08b",
+    "Z/2 x GF(3)": "9a02b7f25de52636c17cc5c3bb82a68172e2e5b4c39e3f503729c9155de7c890",
+    "Z/4 x Z/4": "7caa4cd3c46e6afb04af32bfc6dc66ecd9a10624cec646fe4c91f8b1f353d65a",
+    "GF(3) x GF(3)": "5eb4382003b4dec09968a986c66b66ad0c4cb40e8affc78ce3ff2ec3729b47bc",
+    "Z/4 x Z/9": "940b5ecf04723cc7d863872c54fe51cd30a7be2ce3994a8e36d5c86231d1cbed",
+    "Z/2 x Z/2 x Z/2": "2c5b9360ce91634e199f29d54b1eca896090aa89d62991eb69bceed6b70e75fb",
+    "Z/8 x GF(4)": "e457d3f44b02a58fc9c617ea34b4e0aa6592c1d57abd36b207337fd718385c67",
+    "Z/2 x Z/2 x Z/2 x Z/2": "db3f853043c3ebd3fef66bce5d44600bff4622be20c5cbec99919cce8ee1260d",
+    "Z/8 x Z/8 x Z/8": "804d591c92db1c79b0a77e563b73f03c5b2b3b1b0e03e9279b39310de23fa309",
+    "Z/4 x Z/4 x Z/4[x]/(x^2)": "579e3974b21d545d05cf9d3cf1acffea88bbfbf8f1b634de4c71d91e7cd538c4",
+    "Z/3 x Z/4[x]/(x^2) x Z/4[x]/(x^2)": "673c2deceaa84f47f3e2151a3a98aae8133237f42ec87041f47de63b15654667",
+    "Z/2 x Z/4[x]/(x^2) x Z/4[x]/(x^2)": "4bf1b1c379fa8b3301d70c78fd5afb809423f03ecf6e68ba20a9cfe494b12a75",
+}
+
+
+def test_graph_output_digests():
+    got = {ring: digest([["graph", ring], ["graph", ring, "--dot"]], None) for ring in ZN_RINGS + OTHER_RINGS}
+    assert got == GRAPH_DIGESTS

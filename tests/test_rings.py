@@ -3,7 +3,16 @@ import random
 
 import pytest
 
-from conftest import classify_element, is_field, is_nilpotent, is_reduced
+from conftest import (
+    CODEC_SPECS,
+    SMALL_RING_SPECS,
+    classify_element,
+    closed_form_mul,
+    is_field,
+    is_nilpotent,
+    is_reduced,
+    reference_labels,
+)
 from zdgraph import rings as R
 from zdgraph.errors import CompositePrimeError, NonMonicModulus, SizeCapExceeded
 
@@ -54,6 +63,29 @@ def test_ring_laws(small_rings):
             assert ring.mul(a, ring.add(b, c)) == ring.add(ring.mul(a, b), ring.mul(a, c))
         for a in range(n):
             assert ring.add(a, ring.neg(a)) == 0
+
+
+# rings of about 10^4 elements: one per multi-coordinate family and a product
+LARGE_RING_SPECS = [
+    R.GF(23, 3), R.MonicQuotient(R.Zn(10), (3, 0, 7, 0, 1)), R.FamA(3, 8), R.FamB(5),
+    R.FamC(11), R.FamD(23), R.Product((R.Zn(8), R.FamA(3, 2), R.GF(7, 2))),
+]
+
+
+def test_arithmetic_and_labels_match_closed_forms():
+    """``mul``, ``zero_product_table`` and ``labels`` against the per-family
+    closed forms: all pairs of the small rings, sampled pairs of the large
+    ones.  Ring laws alone would pass a wrong but valid generator table."""
+    rng = random.Random(8)
+    for spec in SMALL_RING_SPECS + CODEC_SPECS + LARGE_RING_SPECS:
+        ring = R.make_ring(spec)
+        mul = closed_form_mul(ring)
+        n = ring.size
+        xs = range(n) if n <= 200 else rng.sample(range(n), 120)
+        want = [[mul(a, b) for b in xs] for a in xs]
+        assert [[ring.mul(a, b) for b in xs] for a in xs] == want, spec
+        assert R.zero_product_table(ring, xs).tolist() == [[c == 0 for c in row] for row in want], spec
+        assert ring.labels() == reference_labels(ring), spec
 
 
 def test_mul_examples():
