@@ -8,7 +8,9 @@ or cap error.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -43,15 +45,18 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _cap_from(args) -> int:
-    if args.cap is not None:
-        return args.cap
-    env = os.environ.get("ZDG_CAP")
-    if env:
+    cap, source = args.cap, "--cap"
+    if cap is None:
+        env = os.environ.get("ZDG_CAP")
+        if not env:
+            return DEFAULT_CAP
         try:
-            return int(env)
+            cap, source = int(env), "ZDG_CAP"
         except ValueError as exc:
             raise UsageError(f"ZDG_CAP must be an integer, got {env!r}") from exc
-    return DEFAULT_CAP
+    if cap < 1:
+        raise UsageError(f"{source} must be at least 1, got {cap}")
+    return cap
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -61,8 +66,44 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
+_quote = json.encoder.encode_basestring_ascii
+
+
 def _dump_json(data) -> str:
-    return json.dumps(data, indent=2, sort_keys=True) + "\n"
+    """Exactly ``json.dumps(data, indent=2, sort_keys=True) + "\\n"``.
+
+    With an indent, json falls back to its pure-Python encoder; here flat
+    lists of ints or strings and lists of int pairs (edge lists) are joined
+    in C, and every other leaf is left to json itself.
+    """
+    return _render(data, "\n") + "\n"
+
+
+def _render(value, pad: str) -> str:
+    """``value`` as json renders it at the indent of ``pad`` ("\\n" + spaces)."""
+    kind, inner = type(value), pad + "  "
+    if kind is int:
+        return int.__repr__(value)
+    if kind is str:
+        return _quote(value)
+    if kind is dict and value and all(type(k) is str for k in value):
+        return "{" + inner + ("," + inner).join(
+            [_quote(k) + ": " + _render(value[k], inner) for k in sorted(value)]) + pad + "}"
+    if (kind is list or kind is tuple) and value:
+        sep, kinds = "," + inner, set(map(type, value))
+        if kinds == {int}:
+            body = sep.join(map(int.__repr__, value))
+        elif kinds == {str}:
+            body = sep.join(map(_quote, value))
+        elif kinds <= {list, tuple} and set(map(len, value)) == {2} \
+                and set(map(type, flat := tuple(itertools.chain.from_iterable(value)))) == {int}:
+            pair = "[" + inner + "  %d," + inner + "  %d" + inner + "]"
+            body = sep.join([pair] * len(value)) % flat
+        else:
+            body = sep.join([_render(v, inner) for v in value])
+        return "[" + inner + body + pad + "]"
+    # empty containers, floats, bools, None and anything unusual
+    return json.dumps(value, indent=2, sort_keys=True).replace("\n", pad)
 
 
 def _load_graph_arg(args, cap: int) -> tuple[Graph, object | None]:
@@ -97,28 +138,26 @@ def _partition_for(g: Graph, ring, method: str, code: str | None) -> Partition:
     raise UsageError(f"unknown partition method {method!r}")
 
 
-def cmd_graph(args) -> int:
-    cap = _cap_from(args)
-    ring = make_ring(parse_ring_spec(args.ring), cap=cap)
-    g = build_zero_divisor_graph(ring, cap=cap)
-    if args.dot:
-        _emit(g.to_dot(), args.out)
-    else:
-        _emit(_dump_json(g.to_json_dict()), args.out)
+def _emit_graph(g: Graph, args) -> int:
+    _emit(g.to_dot() if args.dot else _dump_json(g.to_json_dict()), args.out)
     return EXIT_OK
 
 
+def cmd_graph(args) -> int:
+    cap = _cap_from(args)
+    ring = make_ring(parse_ring_spec(args.ring), cap=cap)
+    return _emit_graph(build_zero_divisor_graph(ring, cap=cap), args)
+
+
 def cmd_threshold(args) -> int:
+    if args.dot and not args.rebuild:
+        raise UsageError("--dot needs --rebuild")
     cap = _cap_from(args)
     g, _ = _load_graph_arg(args, cap)
     if args.rebuild:
         if not args.code:
             raise UsageError("--rebuild needs --code")
-        if args.dot:
-            _emit(g.to_dot(), args.out)
-        else:
-            _emit(_dump_json(g.to_json_dict()), args.out)
-        return EXIT_OK
+        return _emit_graph(g, args)
     res = is_threshold(g)
     _emit(_dump_json(res.to_json_dict()), args.out)
     return EXIT_OK if res.is_threshold else EXIT_NEGATIVE
@@ -243,15 +282,19 @@ def cmd_verify(args) -> int:
     return EXIT_OK if not hard_failures(reports) else EXIT_NEGATIVE
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The argument parser, built on first use and then reused: parsing
+    leaves no state in it."""
     parser = _Parser(prog="zdg", description="Zero-divisor graph toolkit")
     parser.add_argument("--version", action="version", version=f"zdg {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("graph", help="build the zero-divisor graph of a ring")
     p.add_argument("ring", help='ring expression, e.g. "Z/27" or "Z/4[x]/(x^2)"')
-    p.add_argument("--dot", action="store_true", help="emit DOT instead of JSON")
-    p.add_argument("--json", action="store_true", help="emit JSON (default)")
+    fmt = p.add_mutually_exclusive_group()
+    fmt.add_argument("--dot", action="store_true", help="emit DOT instead of JSON")
+    fmt.add_argument("--json", action="store_true", help="emit JSON (default)")
     p.add_argument("--out", help="write to a file instead of stdout")
     p.add_argument("--cap", type=int, help=f"element cap (default {DEFAULT_CAP})")
     p.set_defaults(func=cmd_graph)
@@ -261,7 +304,7 @@ def build_parser() -> _Parser:
     p.add_argument("--graph-file", help="graph JSON file")
     p.add_argument("--code", help="creation sequence, e.g. 0000111001")
     p.add_argument("--rebuild", action="store_true", help="emit the graph built from --code")
-    p.add_argument("--dot", action="store_true")
+    p.add_argument("--dot", action="store_true", help="with --rebuild, emit DOT instead of JSON")
     p.add_argument("--out", help="write to a file instead of stdout")
     p.add_argument("--cap", type=int)
     p.set_defaults(func=cmd_threshold)

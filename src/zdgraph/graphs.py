@@ -18,11 +18,15 @@ import numpy as np
 from ._util import DSU, iter_bits, mask_from
 from .errors import SizeCapExceeded, WrongRingKind, ZdgError
 from .ringexpr import render_ring_spec
-from .rings import DEFAULT_CAP, ProductRing, Ring, Zn, annihilator_keys, euler_phi, zero_product_table
+from .rings import DEFAULT_CAP, ProductRing, Ring, Zn, annihilator_codes, euler_phi, zero_product_table
 
 # classes of a product ring: its class-pair table and each temporary that
 # combines it take k^2 bytes, 64 MiB at the cap
 CLASS_CAP = 8192
+
+
+# DOT quotes a label by escaping backslashes and double quotes
+_DOT_ESCAPES = str.maketrans({"\\": "\\\\", '"': '\\"'})
 
 
 class Graph:
@@ -72,12 +76,31 @@ class Graph:
     def edge_count(self) -> int:
         return sum(r.bit_count() for r in self.rows) // 2
 
-    def edges(self):
-        """Yield (u, v) with u < v, lexicographically sorted."""
-        for u in range(self.n):
-            high = self.rows[u] >> (u + 1)
-            for off in iter_bits(high):
-                yield (u, u + 1 + off)
+    def edges(self) -> list[tuple[int, int]]:
+        """The (u, v) with u < v, lexicographically sorted."""
+        return list(zip(*(a.tolist() for a in self.edge_arrays())))
+
+    def edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """Endpoint arrays (u, v) of every edge, u < v, in lexicographic
+        order, read off the class skeleton: a joined class pair gives every
+        pair of their members, a clique class every pair within it."""
+        sk = self.skeleton()
+        members = [np.array(m, dtype=np.int64) for m in sk.members]
+        us, vs = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
+        for i, (mem, mask) in enumerate(zip(members, sk.join)):
+            if sk.clique[i] and len(mem) > 1:
+                a, b = np.triu_indices(len(mem), 1)
+                us.append(mem[a])
+                vs.append(mem[b])
+            later = [members[j] for j in iter_bits(mask >> (i + 1) << (i + 1))]
+            if later:
+                other = np.concatenate(later)
+                us.append(np.repeat(mem, len(other)))
+                vs.append(np.tile(other, len(mem)))
+        u, v = np.concatenate(us), np.concatenate(vs)
+        # members of two classes interleave, so order each pair, then all pairs
+        pairs = np.sort(np.minimum(u, v) * self.n + np.maximum(u, v))
+        return pairs // self.n, pairs % self.n
 
     def full_mask(self) -> int:
         return (1 << self.n) - 1
@@ -95,7 +118,7 @@ class Graph:
         return {
             "n": self.n,
             "labels": list(self.labels),
-            "edges": [[u, v] for u, v in self.edges()],
+            "edges": np.column_stack(self.edge_arrays()).tolist(),
             "provenance": self.provenance,
         }
 
@@ -120,25 +143,29 @@ class Graph:
         return cls.from_edges(n, data["edges"], [str(s) for s in labels], data.get("provenance"))
 
     def to_dot(self, partition: "Partition | None" = None) -> str:
-        def q(s: str) -> str:
-            return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
+        labels, text = self.labels, "".join(self.labels)
+        if '"' in text or "\\" in text:
+            labels = [s.translate(_DOT_ESCAPES) for s in labels]
 
-        lines = ["graph G {"]
+        def vertex_lines(indent: str, vertices) -> str:
+            flat = [None] * (2 * len(vertices))
+            flat[::2] = vertices
+            flat[1::2] = map(labels.__getitem__, vertices)
+            return (f'{indent}%d [label="%s"];\n' * len(vertices)) % tuple(flat)
+
+        out = ["graph G {\n"]
         if partition is not None:
             for bi, (label, block) in enumerate(partition.blocks):
-                lines.append(f"  subgraph cluster_{bi} {{")
-                lines.append(f"    label={q(label)};")
-                lines.append("    rank=same;")
-                for v in block:
-                    lines.append(f"    {v} [label={q(self.labels[v])}];")
-                lines.append("  }")
+                out.append(f'  subgraph cluster_{bi} {{\n    label="{label.translate(_DOT_ESCAPES)}";\n'
+                           "    rank=same;\n")
+                out.append(vertex_lines("    ", block))
+                out.append("  }\n")
         else:
-            for v in range(self.n):
-                lines.append(f"  {v} [label={q(self.labels[v])}];")
-        for u, v in self.edges():
-            lines.append(f"  {u} -- {v};")
-        lines.append("}")
-        return "\n".join(lines) + "\n"
+            out.append(vertex_lines("  ", range(self.n)))
+        ends = np.column_stack(self.edge_arrays()).ravel().tolist()
+        out.append(("  %d -- %d;\n" * (len(ends) // 2)) % tuple(ends))
+        out.append("}\n")
+        return "".join(out)
 
     def __eq__(self, other):
         return (isinstance(other, Graph) and self.n == other.n and self.rows == other.rows)
@@ -358,13 +385,8 @@ def _annihilator_classes(ring: Ring) -> tuple[np.ndarray, np.ndarray]:
     factors = ring.factors if isinstance(ring, ProductRing) else [ring]
     tables = []
     for f in factors:
-        label, reps, index = [], [], {}
-        for x, key in enumerate(annihilator_keys(f)):
-            c = index.setdefault(key, len(reps))
-            if c == len(reps):
-                reps.append(x)
-            label.append(c)
-        tables.append((np.array(label, dtype=np.int64), zero_product_table(f, reps)))
+        label, least = _number_by_least(annihilator_codes(f))
+        tables.append((label, zero_product_table(f, least)))
     if len(tables) == 1:
         return tables[0]
     elements = np.arange(ring.size, dtype=np.int64)
@@ -374,20 +396,27 @@ def _annihilator_classes(ring: Ring) -> tuple[np.ndarray, np.ndarray]:
         codes += label[elements // stride % f.size] * width
         stride *= f.size
         width *= len(table)
-    codes, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
-    if len(codes) > CLASS_CAP:
-        raise SizeCapExceeded(f"graph has {len(codes)} annihilator classes, more than the cap of {CLASS_CAP}")
-    by_least = np.argsort(first)
-    rank = np.empty_like(by_least)
-    rank[by_least] = np.arange(len(by_least))
-    codes = codes[by_least]
+    class_of, least = _number_by_least(codes)
+    if len(least) > CLASS_CAP:
+        raise SizeCapExceeded(f"graph has {len(least)} annihilator classes, more than the cap of {CLASS_CAP}")
+    codes = codes[least]
     zero_product = np.ones((len(codes), len(codes)), dtype=bool)
     width = 1
     for _, table in tables:
         cls = codes // width % len(table)
         zero_product &= table.take(cls, axis=0).take(cls, axis=1)
         width *= len(table)
-    return rank[inverse.reshape(-1)], zero_product
+    return class_of, zero_product
+
+
+def _number_by_least(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One class per distinct code, numbered by least member: the class of
+    each element and the least member of each class."""
+    _, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
+    by_least = np.argsort(first)
+    rank = np.empty_like(by_least)
+    rank[by_least] = np.arange(len(by_least))
+    return rank[inverse.reshape(-1)], first[by_least]
 
 
 def gcd_class_partition(ring: Ring) -> Partition:

@@ -457,16 +457,36 @@ def annihilator_keys(ring: Ring) -> list:
         parts = [annihilator_keys(f) for f in ring.factors]
         # the first factor's index varies fastest, as in itertools.product's last
         return list(itertools.product(*reversed(parts)))
+    codes = annihilator_codes(ring)
+    if len(ring.coord_moduli) == 1:
+        return [(g,) for g in codes.tolist()]
+    # code c is the HNF of its least element, which is its own orbit's least
+    _, least = np.unique(codes, return_index=True)
+    gens, M = ring.generator_indices(), math.lcm(*ring.coord_moduli)
+    hnfs = [_hnf_key(ring, x, gens, M) for x in least.tolist()]
+    return [hnfs[c] for c in codes.tolist()]
+
+
+def annihilator_codes(ring: Ring) -> np.ndarray:
+    """Each element's annihilator key as an integer: outside a product, two
+    elements get equal codes exactly when ``annihilator_keys`` gives them
+    equal keys.
+
+    One coordinate: the g of the key (g,).  Otherwise one HNF per unit-orbit
+    representative, the distinct HNFs numbered 0, 1, ... by least element.
+    """
     mods = ring.coord_moduli
     M = math.lcm(*mods)
-    gens = ring.generator_indices()
     if len(mods) == 1:
         # x*e_1 has coordinate x * coord(e_1*e_1), multiplication being bilinear
-        b = ring.products[0][0][0]
-        return [(g,) for g in np.gcd(np.arange(ring.size, dtype=np.int64) * b % M, M).tolist()]
+        return np.gcd(np.arange(ring.size, dtype=np.int64) * ring.products[0][0][0] % M, M)
+    gens = ring.generator_indices()
     reps = _unit_orbit_reps(ring)
-    key_of = {x: _hnf_key(ring, x, gens, M) for x in np.unique(reps).tolist()}
-    return [key_of[x] for x in reps.tolist()]
+    heads = np.flatnonzero(reps == np.arange(ring.size))
+    number: dict = {}
+    code = np.empty(ring.size, dtype=np.int64)
+    code[heads] = [number.setdefault(_hnf_key(ring, x, gens, M), len(number)) for x in heads.tolist()]
+    return code[reps]
 
 
 def _hnf_key(ring: Ring, x: int, gens: list[int], M: int) -> tuple:

@@ -130,6 +130,20 @@ def brute_zero_divisor_graph(ring) -> Graph:
     return Graph.from_edges(n, edges, ring.labels())
 
 
+def reference_edges(g: Graph) -> list[tuple[int, int]]:
+    """Every (u, v) with u < v, lexicographically sorted, read bit by bit
+    off the rows: the reference for ``Graph.edges``, which reads the class
+    skeleton instead."""
+    out = []
+    for u in range(g.n):
+        high = g.rows[u] >> (u + 1)
+        while high:
+            low = high & -high
+            out.append((u, u + low.bit_length()))
+            high ^= low
+    return out
+
+
 @dataclass(frozen=True)
 class ElementClass:
     index: int

@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
-from zdgraph.cli import main
+import zdgraph
+from zdgraph.cli import build_parser, main
 from zdgraph.graphs import Graph
 
 
@@ -269,3 +274,46 @@ def test_malformed_or_oversized_graph_files_exit_2(capsys, tmp_path, body):
 def test_code_longer_than_cap_exits_2(capsys):
     code, _, err = run_cli(capsys, "threshold", "--code", "0" + "1" * 20, "--cap", "20")
     assert code == 2 and err.startswith("error:")
+
+
+@pytest.mark.parametrize("argv, env_cap", [
+    (["graph", "Z/4", "--dot", "--json"], None),
+    (["graph", "Z/4", "--json", "--dot", "--out", "unused.txt"], None),
+    (["threshold", "Z/9", "--dot"], None),
+    (["threshold", "--code", "0101", "--dot"], None),
+    (["graph", "Z/4", "--cap", "-1"], None),
+    (["orbits", "Z/4", "--cap", "0"], None),
+    (["spectra", "Z/4"], "0"),
+    (["threshold", "Z/9"], "-3"),
+    (["verify", "orbit-claim", "--grid", "n=4"], "0"),
+])
+def test_flags_that_would_be_ignored_or_caps_below_1_are_usage_errors(capsys, monkeypatch, tmp_path, argv, env_cap):
+    monkeypatch.chdir(tmp_path)
+    if env_cap is None:
+        monkeypatch.delenv("ZDG_CAP", raising=False)
+    else:
+        monkeypatch.setenv("ZDG_CAP", env_cap)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == "" and err.startswith("usage error:"), (argv, err)
+    assert not (tmp_path / "unused.txt").exists()
+
+
+def test_rebuild_still_emits_dot(capsys):
+    code, out, _ = run_cli(capsys, "threshold", "--code", "0101", "--rebuild", "--dot")
+    assert code == 0 and out.startswith("graph G {")
+    code, out, _ = run_cli(capsys, "graph", "Z/4", "--json")
+    assert code == 0 and json.loads(out)["n"] == 4
+
+
+def test_parser_is_built_once():
+    assert build_parser() is build_parser()
+
+
+def test_usage_error_leaves_the_reused_parser_clean(capsys):
+    assert run_cli(capsys, "orbits", "Z/12", "--method", "bogus")[0] == 1
+    code, out, _ = run_cli(capsys, "orbits", "Z/12")
+    src = str(Path(zdgraph.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    fresh = subprocess.run([sys.executable, "-m", "zdgraph.cli", "orbits", "Z/12"],
+                           capture_output=True, text=True, env=env, timeout=60)
+    assert (code, out) == (fresh.returncode, fresh.stdout) and code == 0
