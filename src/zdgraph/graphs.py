@@ -9,6 +9,7 @@ recognition work on its k classes instead of the n rows.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -32,16 +33,28 @@ _DOT_ESCAPES = str.maketrans({"\\": "\\\\", '"': '\\"'})
 class Graph:
     """Undirected simple graph; ``rows[v]`` is the neighbor bitmask of v."""
 
-    __slots__ = ("n", "rows", "labels", "provenance", "_skeleton", "_charpoly")
+    __slots__ = ("n", "rows", "_labels", "provenance", "_skeleton", "_charpoly")
 
     def __init__(self, n: int, rows: list[int], labels: list[str] | None = None,
                  provenance: str | None = None):
         self.n = n
         self.rows = rows
-        self.labels = labels if labels is not None else [str(i) for i in range(n)]
+        self._labels = labels  # None, the list, or a function that returns it
         self.provenance = provenance
         self._skeleton = None
         self._charpoly = None  # filled by spectral.char_poly on first use
+
+    @property
+    def labels(self) -> list[str]:
+        """Vertex labels, computed on first read: the ring's for ring graphs,
+        else "0", "1", ...  Threads that race on the first read compute
+        equal lists."""
+        labels = self._labels
+        if labels is None:
+            labels = self._labels = [str(i) for i in range(self.n)]
+        elif callable(labels):
+            labels = self._labels = labels()
+        return labels
 
     def skeleton(self) -> "ClassSkeleton":
         """The class skeleton: the builder's for ring graphs, else the twin
@@ -69,9 +82,6 @@ class Graph:
 
     def degrees(self) -> list[int]:
         return [r.bit_count() for r in self.rows]
-
-    def neighbors(self, v: int):
-        return iter_bits(self.rows[v])
 
     def edge_count(self) -> int:
         return sum(r.bit_count() for r in self.rows) // 2
@@ -195,26 +205,17 @@ class Partition:
     n: int
 
     def __post_init__(self):
-        seen: set = set()
-        total = 0
-        for _, block in self.blocks:
-            vs = set(block)
-            if not seen.isdisjoint(vs):
-                raise ZdgError("partition blocks overlap")
-            seen |= vs
-            total += len(block)
-        if total != self.n or len(seen) != self.n or (seen and (min(seen) < 0 or max(seen) >= self.n)):
-            raise ZdgError("partition does not cover all vertices")
-
-    def block_sizes(self) -> list[int]:
-        return [len(b) for _, b in self.blocks]
-
-    def block_of(self) -> list[int]:
-        out = [0] * self.n
-        for bi, (_, block) in enumerate(self.blocks):
-            for v in block:
-                out[v] = bi
-        return out
+        blocks = [block for _, block in self.blocks]
+        total = sum(map(len, blocks))
+        flat = np.fromiter(itertools.chain.from_iterable(blocks), dtype=np.int64, count=total)
+        if total == self.n and (not total or 0 <= flat.min() and flat.max() < total
+                                and np.bincount(flat, minlength=total).all()):
+            return  # n vertices, all in 0..n-1, each hit: every one exactly once
+        seen = set(flat.tolist())
+        # a vertex repeated within one block is a cover fault, not an overlap
+        if len(seen) < sum(len(set(b)) for b in blocks):
+            raise ZdgError("partition blocks overlap")
+        raise ZdgError("partition does not cover all vertices")
 
     def as_sets(self) -> set[frozenset]:
         return {frozenset(b) for _, b in self.blocks}
@@ -346,12 +347,9 @@ def build_zero_divisor_graph(ring: Ring, cap: int = DEFAULT_CAP) -> Graph:
     n = ring.size
     if n > cap:
         raise SizeCapExceeded.over("graph", math.log10(n), cap)
-    class_of, zero_product = _annihilator_classes(ring)
-    k = len(zero_product)
+    class_of, members, zero_product = _annihilator_classes(ring)
+    k = len(members)
     classes = class_of.tolist()
-    members: list[list[int]] = [[] for _ in range(k)]
-    for v, c in enumerate(classes):
-        members[c].append(v)
     clique = zero_product.diagonal().copy()
 
     # class rows over all vertices (own class included when a clique),
@@ -360,21 +358,23 @@ def build_zero_divisor_graph(ring: Ring, cap: int = DEFAULT_CAP) -> Graph:
     block = max(1, (1 << 24) // n)
     for start in range(0, k, block):
         base_rows += _row_ints(np.take(zero_product[start:start + block], class_of, axis=1))
-    rows = [base_rows[c] for c in classes]
+    rows = list(map(base_rows.__getitem__, classes))
     for c in np.flatnonzero(clique).tolist():
         for v in members[c]:
             rows[v] ^= 1 << v
 
     np.fill_diagonal(zero_product, False)
-    join = tuple(_row_ints(zero_product))
-    g = Graph(n, rows, ring.labels(), provenance=render_ring_spec(ring.spec))
-    g._skeleton = ClassSkeleton(tuple(map(tuple, members)), tuple(clique.tolist()), join)
+    g = Graph(n, rows, provenance=render_ring_spec(ring.spec))
+    g._labels = ring.labels
+    g._skeleton = ClassSkeleton(members, tuple(clique.tolist()), tuple(_row_ints(zero_product)))
+    object.__setattr__(g._skeleton, "class_of", classes)  # fills the cached property
     return g
 
 
-def _annihilator_classes(ring: Ring) -> tuple[np.ndarray, np.ndarray]:
+def _annihilator_classes(ring: Ring) -> tuple[np.ndarray, tuple, np.ndarray]:
     """The annihilator class of every element, classes numbered by least
-    member, and the k x k table of whether two classes multiply to zero.
+    member, each class's members, and the k x k table of whether two
+    classes multiply to zero.
 
     In a product ann(x_1, ..., x_m) = ann(x_1) x ... x ann(x_m): a class is
     a tuple of factor classes, and two classes multiply to zero exactly when
@@ -385,38 +385,47 @@ def _annihilator_classes(ring: Ring) -> tuple[np.ndarray, np.ndarray]:
     factors = ring.factors if isinstance(ring, ProductRing) else [ring]
     tables = []
     for f in factors:
-        label, least = _number_by_least(annihilator_codes(f))
-        tables.append((label, zero_product_table(f, least)))
+        label, members = _number_by_least(annihilator_codes(f))
+        tables.append((label, members, zero_product_table(f, [m[0] for m in members])))
     if len(tables) == 1:
         return tables[0]
     elements = np.arange(ring.size, dtype=np.int64)
     codes = np.zeros(ring.size, dtype=np.int64)
     stride = width = 1
-    for f, (label, table) in zip(factors, tables):
+    for f, (label, _, table) in zip(factors, tables):
         codes += label[elements // stride % f.size] * width
         stride *= f.size
         width *= len(table)
-    class_of, least = _number_by_least(codes)
-    if len(least) > CLASS_CAP:
-        raise SizeCapExceeded(f"graph has {len(least)} annihilator classes, more than the cap of {CLASS_CAP}")
-    codes = codes[least]
+    class_of, members = _number_by_least(codes)
+    if len(members) > CLASS_CAP:
+        raise SizeCapExceeded(f"graph has {len(members)} annihilator classes, more than the cap of {CLASS_CAP}")
+    codes = codes[[m[0] for m in members]]
     zero_product = np.ones((len(codes), len(codes)), dtype=bool)
     width = 1
-    for _, table in tables:
+    for _, _, table in tables:
         cls = codes // width % len(table)
         zero_product &= table.take(cls, axis=0).take(cls, axis=1)
         width *= len(table)
-    return class_of, zero_product
+    return class_of, members, zero_product
 
 
-def _number_by_least(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _number_by_least(codes: np.ndarray) -> tuple[np.ndarray, tuple]:
     """One class per distinct code, numbered by least member: the class of
-    each element and the least member of each class."""
-    _, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
-    by_least = np.argsort(first)
+    each element and each class's members, ascending, from one stable sort."""
+    order = np.argsort(codes, kind="stable")
+    ordered = codes[order]
+    new = np.empty(len(codes), dtype=bool)
+    new[:1] = True
+    new[1:] = ordered[1:] != ordered[:-1]
+    starts = np.flatnonzero(new)
+    by_least = np.argsort(order[starts])  # a run's first element is its least
     rank = np.empty_like(by_least)
     rank[by_least] = np.arange(len(by_least))
-    return rank[inverse.reshape(-1)], first[by_least]
+    class_of = np.empty_like(order)
+    class_of[order] = rank[np.cumsum(new) - 1]
+    flat, ends = order.tolist(), np.append(starts[1:], len(codes))
+    members = tuple(tuple(flat[a:b]) for a, b in zip(starts[by_least].tolist(), ends[by_least].tolist()))
+    return class_of, members
 
 
 def gcd_class_partition(ring: Ring) -> Partition:

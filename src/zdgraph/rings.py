@@ -273,7 +273,7 @@ class Ring:
     """A ring as coordinates over cyclic moduli and the products of its
     generators: one index codec, bilinear multiplication and labels.
 
-    Codec invariant, which ``annihilator_keys`` relies on: the index of the
+    Codec invariant, which ``annihilator_codes`` relies on: the index of the
     element with coordinates (c_1, ..., c_t) is the little-endian mixed-radix
     number c_1 + m_1*(c_2 + m_2*(c_3 + ...)) over ``coord_moduli``
     (m_1, ..., m_t), with 0 <= c_j < m_j, and addition is componentwise
@@ -425,61 +425,42 @@ def make_ring(spec: RingSpec, cap: int = DEFAULT_CAP) -> Ring:
 # Annihilator classes
 # ---------------------------------------------------------------------------
 
-def annihilator_keys(ring: Ring) -> list:
-    """A canonical key per element such that equal keys imply equal annihilators.
+def annihilator_codes(ring: Ring) -> np.ndarray:
+    """Each element's annihilator key as an integer, for a ring outside a
+    product (a product's keys are its factors' codes side by side, since
+    ann(x_1, ..., x_m) = ann(x_1) x ... x ann(x_m)).  Equal codes imply
+    equal annihilators; codes may split finer than annihilator classes.
 
     For x with coordinate generators e_1..e_t, the annihilator of x is cut
     out by the congruences sum_i c_i * coord_j(x*e_i) = 0 (mod m_j).  Those
     congruences depend only on the integer row lattice spanned by the scaled
     coefficient rows together with M*I (M = lcm of the moduli), so the
-    Hermite normal form (HNF) of that lattice is a sound grouping key.
-    Keys may split finer than exact annihilator classes; they never merge
-    distinct annihilators.
+    Hermite normal form (HNF) of that lattice is a sound key.
 
-    Cost, by kind of ring:
-
-    * one coordinate (``Z/n``, ``GF(p)``): gcd(x, n), no HNF;
-    * products: ann(x_1, ..., x_m) = ann(x_1) x ... x ann(x_m), so the key
-      of an element is the tuple of its factors' keys (last factor first),
-      each computed once per factor element: sum |R_i| keys, not prod |R_i|;
-    * every other ring: one HNF per orbit of the group that a few units
-      generate under multiplication, plus numpy work linear in the size.
-
+    One coordinate (``Z/n``, ``GF(p)``): the lattice is gcd(x, n) Z, and the
+    code is that gcd, with no HNF.  Otherwise one HNF per orbit of the group
+    that a few units generate under multiplication, the distinct HNFs
+    numbered 0, 1, ... by least element, plus numpy work linear in the size.
     Orbits are sound because multiplying by a unit u maps the rows of x to
     the rows of ux by an integer matrix that is invertible mod M (that of
     u^-1 maps them back), so x and ux span the same lattice and get the
     same HNF.  Orbits finer than the associate classes cost extra HNFs,
-    never a different key.  The maps x -> ux are read off the mixed-radix
+    never a different code.  The maps x -> ux are read off the mixed-radix
     codec (see ``Ring``) from t products, and u counts as a unit only when
     its map is a bijection.
-    """
-    if isinstance(ring, ProductRing):
-        parts = [annihilator_keys(f) for f in ring.factors]
-        # the first factor's index varies fastest, as in itertools.product's last
-        return list(itertools.product(*reversed(parts)))
-    codes = annihilator_codes(ring)
-    if len(ring.coord_moduli) == 1:
-        return [(g,) for g in codes.tolist()]
-    # code c is the HNF of its least element, which is its own orbit's least
-    _, least = np.unique(codes, return_index=True)
-    gens, M = ring.generator_indices(), math.lcm(*ring.coord_moduli)
-    hnfs = [_hnf_key(ring, x, gens, M) for x in least.tolist()]
-    return [hnfs[c] for c in codes.tolist()]
-
-
-def annihilator_codes(ring: Ring) -> np.ndarray:
-    """Each element's annihilator key as an integer: outside a product, two
-    elements get equal codes exactly when ``annihilator_keys`` gives them
-    equal keys.
-
-    One coordinate: the g of the key (g,).  Otherwise one HNF per unit-orbit
-    representative, the distinct HNFs numbered 0, 1, ... by least element.
     """
     mods = ring.coord_moduli
     M = math.lcm(*mods)
     if len(mods) == 1:
+        # gcd(y, M) is the largest divisor of M that divides y, so writing
+        # each divisor over its multiples, ascending, leaves every gcd
+        small = np.arange(1, math.isqrt(M) + 1)
+        low = small[M % small == 0].tolist()
+        gcd = np.empty(M, dtype=np.int64)
+        for d in low + [M // d for d in reversed(low)]:
+            gcd[::d] = d
         # x*e_1 has coordinate x * coord(e_1*e_1), multiplication being bilinear
-        return np.gcd(np.arange(ring.size, dtype=np.int64) * ring.products[0][0][0] % M, M)
+        return gcd[np.arange(M, dtype=np.int64) * ring.products[0][0][0] % M]
     gens = ring.generator_indices()
     reps = _unit_orbit_reps(ring)
     heads = np.flatnonzero(reps == np.arange(ring.size))
@@ -543,7 +524,15 @@ _UNIT_DRAWS = 16
 
 def _unit_orbit_reps(ring: Ring) -> np.ndarray:
     """For every element, the least element of its orbit under the group
-    generated by a few units (each element alone if none is drawn)."""
+    generated by a few units (each element alone if none is drawn).
+
+    A pass takes, for each generator in turn, the minimum along its cycles
+    by pointer doubling.  Throughout, rep[x] is a member of x's orbit no
+    larger than x.  Once rep[perm] == rep for every generator, rep is
+    constant on each orbit; as rep[y] <= y for every member y, that value
+    is the orbit's minimum.  The check costs one gather per generator, a
+    second pass ``rounds`` of them.
+    """
     n = ring.size
     coords, radix = _element_coords(ring)
     rng = random.Random(n)
@@ -556,16 +545,14 @@ def _unit_orbit_reps(ring: Ring) -> np.ndarray:
             perms.append(perm)
             if len(perms) == _UNITS:
                 break
-    # minimum along each cycle by pointer doubling, until no generator moves it
     rep = np.arange(n, dtype=np.int64)
     rounds = max(1, (n - 1).bit_length())
-    changed = bool(perms)
-    while changed:
-        before = rep
+    stable = not perms
+    while not stable:
         for perm in perms:
             step = perm
             for _ in range(rounds):
                 rep = np.minimum(rep, rep[step])
                 step = step[step]
-        changed = not np.array_equal(rep, before)
+        stable = all(np.array_equal(rep[perm], rep) for perm in perms)
     return rep

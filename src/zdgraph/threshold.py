@@ -28,7 +28,7 @@ class CreationSequence:
     bits: str
 
     def __post_init__(self):
-        if not self.bits or any(c not in "01" for c in self.bits):
+        if not self.bits or self.bits.strip("01"):
             raise MalformedCode(f"code must be a nonempty 0/1 string, got {self.bits!r}")
         if self.bits[0] != "0":
             raise MalformedCode("code must start with 0 (the initial vertex)")

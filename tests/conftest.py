@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 
 from zdgraph import rings as R
+from zdgraph._util import hermite_normal_form
 from zdgraph.graphs import Graph, Partition
 
 
@@ -120,6 +122,68 @@ def reference_labels(ring) -> list[str]:
     """Every element's label, one at a time: the reference for ``Ring.labels``."""
     label = _closed_form(ring.spec)[2]
     return [label(i) for i in range(ring.size)]
+
+
+def joint_hnf_keys(ring) -> list:
+    """One key per element, the Hermite normal form of the lattice that cuts
+    out its annihilator: for x with coordinate generators e_1..e_t, ann(x)
+    is the solution set of sum_i c_i * coord_j(x*e_i) = 0 (mod m_j), which
+    depends only on the lattice spanned by the rows (M/m_j) * coord_j(x*e_i)
+    together with M*I, M the lcm of the moduli.  One HNF per element over
+    all coordinates, products included, with no unit orbits."""
+    mods = ring.coord_moduli
+    t = len(mods)
+    M = math.lcm(*mods)
+    gens = ring.generator_indices()
+    scales = [M // m for m in mods]
+    m_rows = [[M if i == j else 0 for i in range(t)] for j in range(t)]
+    keys = []
+    for x in range(ring.size):
+        cols = [ring.decode(ring.mul(x, g)) for g in gens]
+        rows = [[scales[j] * cols[i][j] for i in range(t)] for j in range(t)]
+        keys.append(hermite_normal_form(rows + m_rows, t))
+    return keys
+
+
+def annihilator_keys(ring) -> list:
+    """A key per element such that equal keys imply equal annihilators:
+    the reference for ``rings.annihilator_codes`` and the builder's classes.
+    A product's key is the tuple of its factors' keys (last factor first),
+    as ann(x_1, ..., x_m) = ann(x_1) x ... x ann(x_m); any other ring's is
+    its joint HNF key."""
+    if isinstance(ring, R.ProductRing):
+        parts = [annihilator_keys(f) for f in ring.factors]
+        # the first factor's index varies fastest, as in itertools.product's last
+        return list(itertools.product(*reversed(parts)))
+    return joint_hnf_keys(ring)
+
+
+def doubling_orbit_reps(ring) -> np.ndarray:
+    """The least element of each element's orbit under the units that
+    ``rings._unit_orbit_reps`` draws, by repeating whole pointer-doubling
+    passes until one changes nothing: the reference for its early stop."""
+    n = ring.size
+    coords, radix = R._element_coords(ring)
+    rng = random.Random(n)
+    perms = []
+    for _ in range(R._UNIT_DRAWS):
+        perm = R._multiplication_map(ring, coords, radix, rng.randrange(1, n))
+        if len(np.unique(perm)) == n:
+            perms.append(perm)
+            if len(perms) == R._UNITS:
+                break
+    rep = np.arange(n, dtype=np.int64)
+    rounds = max(1, (n - 1).bit_length())
+    changed = bool(perms)
+    while changed:
+        before = rep
+        for perm in perms:
+            step = perm
+            for _ in range(rounds):
+                rep = np.minimum(rep, rep[step])
+                step = step[step]
+        changed = not np.array_equal(rep, before)
+    return rep
 
 
 def brute_zero_divisor_graph(ring) -> Graph:

@@ -1,34 +1,23 @@
-"""Annihilator keys against the per-element joint Hermite normal form.
+"""Annihilator codes and classes against the per-element joint Hermite
+normal form.
 
 The library keys one orbit of units at a time and products one factor at a
-time.  The reference below is the per-element loop it replaced: one HNF per
-element over all coordinates of the ring, products included.
+time.  The references in conftest are the per-element loop it replaced: one
+HNF per element over all coordinates of the ring, products included
+(``joint_hnf_keys``), and the tuple of the factors' keys for a product
+(``annihilator_keys``).
 """
 
 import math
 import random
 
+import numpy as np
 import pytest
 
-from conftest import CODEC_SPECS
+from conftest import CODEC_SPECS, annihilator_keys, doubling_orbit_reps, joint_hnf_keys
+from zdgraph import graphs as G
 from zdgraph import rings as R
-from zdgraph._util import hermite_normal_form
 from zdgraph.verify import product_sweep_specs
-
-
-def joint_hnf_keys(ring) -> list:
-    mods = ring.coord_moduli
-    t = len(mods)
-    M = math.lcm(*mods)
-    gens = ring.generator_indices()
-    scales = [M // m for m in mods]
-    m_rows = [[M if i == j else 0 for i in range(t)] for j in range(t)]
-    keys = []
-    for x in range(ring.size):
-        cols = [ring.decode(ring.mul(x, g)) for g in gens]
-        rows = [[scales[j] * cols[i][j] for i in range(t)] for j in range(t)]
-        keys.append(hermite_normal_form(rows + m_rows, t))
-    return keys
 
 
 def partition(keys) -> list[int]:
@@ -64,17 +53,31 @@ def seeded_specs(seed: int) -> list:
 def test_keys_equal_joint_hnf_on_seeded_specs(seed):
     for spec in seeded_specs(seed):
         ring = R.make_ring(spec)
-        keys, ref = R.annihilator_keys(ring), joint_hnf_keys(ring)
+        ref = partition(joint_hnf_keys(ring))
         if isinstance(ring, R.ProductRing):
-            assert partition(keys) == partition(ref), spec
-        elif len(ring.coord_moduli) > 1:
-            assert keys == ref, spec  # orbits reuse their representative's HNF
+            assert partition(annihilator_keys(ring)) == ref, spec
+            assert partition(G._annihilator_classes(ring)[0].tolist()) == ref, spec
+        else:
+            # orbits reuse their representative's HNF, so codes split no finer
+            assert partition(R.annihilator_codes(ring).tolist()) == ref, spec
 
 
 def test_keys_partition_like_joint_hnf_on_product_sweep():
     for spec in product_sweep_specs():
         ring = R.make_ring(spec)
-        assert partition(R.annihilator_keys(ring)) == partition(joint_hnf_keys(ring)), spec
+        ref = partition(annihilator_keys(ring))
+        assert ref == partition(joint_hnf_keys(ring)), spec
+        assert partition(G._annihilator_classes(ring)[0].tolist()) == ref, spec
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_unit_orbit_reps_stop_at_the_doubling_fixpoint(seed):
+    """One pass and a check give the arrays of passes repeated until none
+    changes anything, on every ring with several coordinates."""
+    for spec in seeded_specs(seed):
+        ring = R.make_ring(spec)
+        if len(ring.coord_moduli) > 1:
+            assert np.array_equal(R._unit_orbit_reps(ring), doubling_orbit_reps(ring)), spec
 
 
 def test_codec_and_multiplication_map_match_ring_arithmetic():
@@ -94,3 +97,10 @@ def test_codec_and_multiplication_map_match_ring_arithmetic():
                 assert image[x] == ring.mul(u, x), (spec, u, x)
     assert kinds == {"Zn", "GF", "MonicQuotient", "FamA", "FamB", "FamC", "FamD", "Product"}
 
+
+
+def test_single_coordinate_codes_are_gcds():
+    for spec in [R.Zn(n) for n in range(2, 300)] + [R.GF(p) for p in (2, 3, 97)] + [R.Zn(97 * 97), R.Zn(14400)]:
+        ring = R.make_ring(spec)
+        n = ring.size
+        assert R.annihilator_codes(ring).tolist() == [math.gcd(x, n) for x in range(n)], spec

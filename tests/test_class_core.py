@@ -253,6 +253,19 @@ def test_ring_graph_rows_match_products_on_random_specs():
     assert families == {"Zn", "GF", "MonicQuotient", "FamA", "FamB", "FamC", "FamD", "Product"}
 
 
+def test_ring_skeleton_members_and_class_of_agree():
+    """The builder's classes list their vertices ascending, ordered by least
+    vertex, and ``class_of`` names each vertex's class."""
+    rng = random.Random(4243)
+    for _ in range(40):
+        spec = random_ring_spec(rng)
+        sk = G.build_zero_divisor_graph(R.make_ring(spec)).skeleton()
+        assert sorted(v for m in sk.members for v in m) == list(range(len(sk.class_of))), spec
+        assert all(list(m) == sorted(m) for m in sk.members), spec
+        assert [m[0] for m in sk.members] == sorted(m[0] for m in sk.members), spec
+        assert all(sk.class_of[v] == c for c, m in enumerate(sk.members) for v in m), spec
+
+
 def test_twin_partition_matches_definition():
     for g in corpus(11):
         part = G.twin_partition(g)

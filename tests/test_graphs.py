@@ -2,11 +2,14 @@ import json
 
 import pytest
 
-from conftest import brute_zero_divisor_graph
+from conftest import brute_zero_divisor_graph, reference_labels
 from zdgraph import graphs as G
 from zdgraph import rings as R
-from zdgraph.errors import WrongRingKind
+from zdgraph import spectral as S
+from zdgraph import threshold as T
+from zdgraph.errors import WrongRingKind, ZdgError
 from zdgraph.orbits import aut_orbits
+from zdgraph.ringexpr import parse_ring_spec
 from zdgraph.rings import is_prime
 
 
@@ -97,6 +100,49 @@ def test_partition_refinement_chain():
         orbit_p = aut_orbits(g)
         assert gcd_p.refines(twin_p), n
         assert twin_p.refines(orbit_p), n
+
+
+OVERLAP = "partition blocks overlap"
+NO_COVER = "partition does not cover all vertices"
+
+
+@pytest.mark.parametrize("blocks, n, message", [
+    ([(0, 1), (1, 2)], 3, OVERLAP),
+    ([(0, -1), (-1,)], 2, OVERLAP),        # an overlap is named before a bad vertex
+    ([(0,), (2,)], 3, NO_COVER),            # vertex 1 is missing
+    ([(0,), (2,)], 2, NO_COVER),            # vertex 2 is not below n
+    ([(0,), (-1,)], 2, NO_COVER),
+    ([(0, 0), (2,)], 3, NO_COVER),          # a repeat within one block
+    ([(0, 1), (2, 3)], 5, NO_COVER),        # 4 vertices for n = 5
+    ([(0, 1), (2, 3)], 3, NO_COVER),        # 4 vertices for n = 3
+], ids=["overlap", "overlap-before-range", "missing", "too-large", "negative", "repeat-in-block",
+        "total-below-n", "total-above-n"])
+def test_partition_validation_messages(blocks, n, message):
+    with pytest.raises(ZdgError) as info:
+        G.Partition(tuple((f"B{i}", b) for i, b in enumerate(blocks)), "custom", n)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("expr", ["Z/60", "GF(49)", "FamA(3,2)", "FamD(3)", "Z/4 x GF(4)"])
+def test_ring_labels_are_computed_on_first_read(monkeypatch, expr):
+    """The large-ring query chain reads no label; the first read of
+    ``Graph.labels`` builds them once, equal to the per-element reference."""
+    calls = []
+    labels = R.Ring.labels
+    monkeypatch.setattr(R.Ring, "labels", lambda ring: calls.append(ring) or labels(ring))
+    ring = R.make_ring(parse_ring_spec(expr))
+    g = G.build_zero_divisor_graph(ring)
+    T.is_threshold(g)
+    T.find_alternating_four_cycle(g)
+    twins = G.twin_partition(g)
+    aut_orbits(g)
+    S.char_poly(S.equitable_quotient_matrix(g, twins))
+    assert calls == []
+    factors = ring.factors if isinstance(ring, R.ProductRing) else [ring]
+    assert g.labels == reference_labels(ring)
+    assert calls == factors
+    assert g.labels is g.labels and calls == factors
+    assert G.Graph(3, [0, 0, 0]).labels == ["0", "1", "2"]
 
 
 def test_divisor_graph():

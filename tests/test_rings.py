@@ -6,6 +6,7 @@ import pytest
 from conftest import (
     CODEC_SPECS,
     SMALL_RING_SPECS,
+    annihilator_keys,
     classify_element,
     closed_form_mul,
     is_field,
@@ -13,6 +14,7 @@ from conftest import (
     is_reduced,
     reference_labels,
 )
+from zdgraph import graphs as G
 from zdgraph import rings as R
 from zdgraph.errors import CompositePrimeError, NonMonicModulus, SizeCapExceeded
 
@@ -213,15 +215,16 @@ def test_gf_modulus_is_smallest_irreducible():
 
 
 def test_annihilator_keys_group_equal_annihilators(small_rings):
-    """Equal keys must imply equal annihilator sets (the builder relies on it)."""
+    """Equal keys must imply equal annihilator sets, both the reference keys
+    and the builder's classes, which rely on it."""
     for spec, ring in small_rings:
         if ring.size > 100:
             continue
-        keys = R.annihilator_keys(ring)
         anns = [frozenset(b for b in range(ring.size) if ring.mul(a, b) == 0)
                 for a in range(ring.size)]
-        by_key = {}
-        for a in range(ring.size):
-            by_key.setdefault(keys[a], set()).add(anns[a])
-        for key, group in by_key.items():
-            assert len(group) == 1, (spec, key)
+        for keys in (annihilator_keys(ring), G._annihilator_classes(ring)[0].tolist()):
+            by_key = {}
+            for a in range(ring.size):
+                by_key.setdefault(keys[a], set()).add(anns[a])
+            for key, group in by_key.items():
+                assert len(group) == 1, (spec, key)

@@ -20,7 +20,7 @@ def test_build_from_code_basics():
 
 
 def test_malformed_codes():
-    for bad in ("", "1", "10", "0a1", "2"):
+    for bad in ("", "1", "10", "0a1", "2", "01a", "0 1"):
         with pytest.raises(MalformedCode):
             T.build_threshold_from_code(bad)
 
